@@ -3,7 +3,7 @@
 #   make check      — what CI runs: gofmt gate + vet + eomlvet + race tests
 #                     + fuzz-smoke + serve-smoke + fleet-smoke +
 #                     reduced-size bench smokes (bench-ci, bench-e2e) +
-#                     bench-diff
+#                     bench-diff + perfbench-test
 #   make lint       — the repo's own analyzer suite (cmd/eomlvet)
 #   make bench      — the hot-path benchmarks, emitted as $(BENCH_OUT)
 #   make bench-diff — gate the committed bench records: fails on >10%
@@ -22,7 +22,7 @@ BENCH_PAT := BenchmarkMatMulBlocked|BenchmarkMatMulSmall|BenchmarkEncodeArena|Be
 
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race fmt fuzz-smoke bench bench-ci bench-diff bench-all bench-e2e serve-smoke fleet-smoke check
+.PHONY: build test vet lint race fmt fuzz-smoke bench bench-ci bench-diff bench-all bench-e2e serve-smoke fleet-smoke perfbench-test check
 
 build:
 	$(GO) build ./...
@@ -104,8 +104,16 @@ fleet-smoke:
 bench-diff:
 	$(GO) run ./cmd/benchdiff -require '$(BENCH_REQUIRE)' $(BENCH_OLD) $(BENCH_NEW)
 
+# perfbench/ is its own Go module (it replaces github.com/eoml/eoml with
+# ../), so `go build ./...` here never compiles it. Vet and test it with
+# perfbench/run.sh's offline environment so an API change in core or
+# fleet that breaks the benchmark fails the gate.
+perfbench-test:
+	cd perfbench && export GOPROXY=off GOWORK=off GOTOOLCHAIN=local && \
+		$(GO) vet ./... && $(GO) test ./...
+
 # Every figure/table/ablation benchmark in the repo.
 bench-all:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-check: fmt vet lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-diff
+check: fmt vet lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-diff perfbench-test

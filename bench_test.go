@@ -398,10 +398,9 @@ func BenchmarkMatMulBlocked(b *testing.B) {
 	})
 }
 
-// BenchmarkEncodeArena measures the encode hot path three ways over one
+// BenchmarkEncodeArena measures the encode hot path two ways over one
 // trained model and tile set: the allocate-everything baseline
-// (EncodeNoArena, training Forward kernels), the sync.Pool-backed
-// contended arena kept as the oracle (EncodeLocked), and the production
+// (EncodeNoArena, training Forward kernels) and the production
 // sharded-arena batch-GEMM path (Encode). The PR-5 acceptance bar is
 // arena ns/op ≤ noarena — buffer reuse must not cost wall-clock.
 func BenchmarkEncodeArena(b *testing.B) {
@@ -427,7 +426,6 @@ func BenchmarkEncodeArena(b *testing.B) {
 		b.ReportMetric(float64(len(tiles)), "tiles/op")
 	}
 	b.Run("noarena", func(b *testing.B) { run(b, m.EncodeNoArena) })
-	b.Run("contended", func(b *testing.B) { run(b, m.EncodeLocked) })
 	b.Run("arena", func(b *testing.B) { run(b, m.Encode) })
 }
 

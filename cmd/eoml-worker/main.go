@@ -2,9 +2,11 @@
 // tile-extraction and AICCA-labeling kernels on a local compute
 // endpoint, registers that endpoint with a control plane started as
 // `eoml serve -fleet`, heartbeats to stay live, and drains gracefully
-// on SIGINT. Tasks arrive as granule *references* — shared-storage
-// paths plus archive coordinates — never bytes, so a worker can run at
-// another facility and fetch its own inputs.
+// on SIGINT or SIGTERM (a Slurm or orchestrator stop), deregistering
+// so the coordinator leases nothing more to it. Tasks arrive as granule
+// *references* — shared-storage paths plus archive coordinates — never
+// bytes, so a worker can run at another facility and fetch its own
+// inputs.
 //
 //	eoml serve -addr localhost:8080 -fleet        # control plane
 //	eoml-worker -coordinator http://localhost:8080
@@ -29,6 +31,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"github.com/eoml/eoml"
@@ -76,7 +79,7 @@ func main() {
 		log.Fatalf("eoml-worker: %v", err)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	startCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	err = w.Start(startCtx)

@@ -49,6 +49,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"github.com/eoml/eoml"
@@ -183,7 +184,7 @@ func runServe(args []string) {
 	fleetOn := fs.Bool("fleet", false, "host a worker-fleet coordinator (/fleet/ membership API) so runs may declare `distribution: fleet`")
 	_ = fs.Parse(args)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	opts := eoml.EngineOptions{Quotas: eoml.NewQuotaPool(*quotaRPS, *quotaBurst)}
@@ -253,7 +254,7 @@ func main() {
 		return
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	cfg, err := eoml.LoadConfigFile(*configPath)

@@ -116,7 +116,7 @@ const TenantHeader = serve.TenantHeader
 
 // FleetCoordinator leases preprocess/inference tasks to registered
 // eoml-worker processes: heartbeat liveness, in-flight bounds, lease
-// requeue, work stealing, and elastic scale hints.
+// requeue, and work stealing.
 type FleetCoordinator = fleet.Coordinator
 
 // FleetConfig tunes a FleetCoordinator.

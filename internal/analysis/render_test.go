@@ -15,7 +15,7 @@ func renderFixtures() []Diagnostic {
 			Message: "Quota.rate is read without holding mu",
 		},
 		{
-			Pos:     token.Position{Filename: "internal/parsl/executor.go", Line: 47, Column: 25},
+			Pos:     token.Position{Filename: "internal/compute/compute.go", Line: 47, Column: 25},
 			Check:   "ctxflow",
 			Message: "may block: 50% of paths\nsecond line",
 		},

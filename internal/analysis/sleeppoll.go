@@ -8,8 +8,8 @@ import (
 // for loop in library code is a sleep-poll — it wastes a scheduler slot,
 // adds up to the poll interval of latency per iteration, and cannot
 // observe cancellation. Use a time.Timer/Ticker inside a select with a
-// ctx.Done() case instead. Simulated-overhead sites (the parsl, laads,
-// and flows engines model real-world latencies with sleeps) carry ignore
+// ctx.Done() case instead. Simulated-overhead sites (the laads and
+// flows engines model real-world latencies with sleeps) carry ignore
 // directives stating that the sleep *is* the modeled behaviour.
 var SleepPoll = &Analyzer{
 	Name:      "sleeppoll",

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"github.com/eoml/eoml/internal/metrics"
 )
 
 // ErrDraining is returned by Submit once Stop has begun draining the
@@ -277,6 +279,20 @@ func (e *Endpoint) ActiveWorkers() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.active
+}
+
+// Instrument exports the endpoint's worker and queue gauges to reg,
+// labeled executor=label. Function-backed: the gauges read live
+// endpoint state at scrape time; re-instrumenting the same label hands
+// the series to the newest endpoint (core builds one per run call).
+func (e *Endpoint) Instrument(reg *metrics.Registry, label string) {
+	l := metrics.L("executor", label)
+	reg.GaugeFunc("eoml_executor_busy_workers",
+		"Workers currently executing a task.",
+		func() float64 { return float64(e.ActiveWorkers()) }, l)
+	reg.GaugeFunc("eoml_executor_queued_tasks",
+		"Tasks waiting for a free worker.",
+		func() float64 { return float64(len(e.queue)) }, l)
 }
 
 // Submit enqueues a task for the named function and returns its future.

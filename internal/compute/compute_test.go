@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/eoml/eoml/internal/metrics"
 )
 
 func registryWithMath(t *testing.T) *Registry {
@@ -156,6 +158,44 @@ func TestEndpointBoundedConcurrency(t *testing.T) {
 	}
 	if peak < 2 {
 		t.Fatalf("peak concurrency %d: pool not parallel", peak)
+	}
+}
+
+// TestEndpointInstrument: the executor gauges read the endpoint's live
+// busy-worker count and queue depth under the given executor label.
+func TestEndpointInstrument(t *testing.T) {
+	reg := NewRegistry()
+	running, release := make(chan struct{}, 3), make(chan struct{})
+	if err := reg.Register("hold", func(ctx context.Context, args map[string]any) (any, error) {
+		running <- struct{}{}
+		<-release
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ep, _ := NewEndpoint("e", reg, EndpointConfig{Workers: 1})
+	mreg := metrics.NewRegistry()
+	ep.Instrument(mreg, "pre")
+	ep.Start()
+	defer ep.Stop()
+	defer close(release)
+	for i := 0; i < 3; i++ {
+		if _, err := ep.Submit("hold", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-running // the one worker holds the first task; two wait
+	gauges := map[string]float64{}
+	for _, f := range mreg.Snapshot() {
+		for _, s := range f.Series {
+			if len(s.Labels) != 1 || s.Labels[0] != metrics.L("executor", "pre") {
+				t.Fatalf("%s labels = %v, want executor=pre", f.Name, s.Labels)
+			}
+			gauges[f.Name] = s.Value
+		}
+	}
+	if gauges["eoml_executor_busy_workers"] != 1 || gauges["eoml_executor_queued_tasks"] != 2 {
+		t.Fatalf("gauges = %v, want busy 1 and queued 2", gauges)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package core orchestrates the real-mode EO-ML workflow: the five-stage
 // pipeline of the paper (download → preprocess → monitor & trigger →
 // inference → shipment) executed against actual bytes — a LAADS-style
-// archive over HTTP, HDF-lite granules on disk, Parsl-style elastic
+// archive over HTTP, HDF-lite granules on disk, a pool of compute
 // workers doing real tile extraction, a Globus-Flows-style inference
 // flow, and a checksum-verified transfer to the destination filesystem.
 //
@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"github.com/eoml/eoml/internal/aicca"
@@ -77,8 +78,8 @@ type Config struct {
 	MetricsAddr string
 
 	// Distribution selects where preprocess and inference execute:
-	// "local" (default — in-process Parsl pool and batcher, unchanged)
-	// or "fleet" (tasks leased to registered eoml-worker processes via
+	// "local" (default — an in-process compute endpoint serving the
+	// fleet kernels, plus the cross-file batcher) or "fleet" (tasks leased to registered eoml-worker processes via
 	// the engine's fleet coordinator). Fleet mode requires model and
 	// codebook paths, since workers load weights from shared storage.
 	Distribution string
@@ -231,6 +232,9 @@ func LoadConfig(data []byte) (*Config, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkKeys(doc); err != nil {
+		return nil, err
+	}
 	cfg := DefaultConfig()
 
 	if v, ok := doc["satellite"].(string); ok {
@@ -339,38 +343,148 @@ func LoadConfig(data []byte) (*Config, error) {
 	return &cfg, nil
 }
 
+// valueKind is the YAML value type a config key accepts.
+type valueKind string
+
+const (
+	kindString valueKind = "a string"
+	kindInt    valueKind = "an integer"
+	kindNumber valueKind = "a number"
+	kindList   valueKind = "a list"
+)
+
+// accepts reports whether a parsed YAML value has this kind.
+func (k valueKind) accepts(v any) bool {
+	switch v.(type) {
+	case string:
+		return k == kindString
+	case int64:
+		return k == kindInt || k == kindNumber
+	case float64:
+		return k == kindNumber
+	case []any:
+		return k == kindList
+	}
+	return false
+}
+
+// configSchema is every YAML key LoadConfig understands, nested keys in
+// dotted form, with the value kind each accepts.
+var configSchema = []struct {
+	key  string
+	kind valueKind
+}{
+	{"satellite", kindString},
+	{"year", kindInt},
+	{"doy", kindInt},
+	{"granules", kindList},
+	{"archive.url", kindString},
+	{"archive.token", kindString},
+	{"paths.data", kindString},
+	{"paths.tiles", kindString},
+	{"paths.outbox", kindString},
+	{"paths.dest", kindString},
+	{"workers.download", kindInt},
+	{"workers.preprocess", kindInt},
+	{"workers.inference", kindInt},
+	{"tile.pixels", kindInt},
+	{"tile.min_cloud_fraction", kindNumber},
+	{"poll_interval_ms", kindInt},
+	{"stall_timeout_ms", kindInt},
+	{"batch.tiles", kindInt},
+	{"batch.delay_ms", kindInt},
+	{"precision", kindString},
+	{"model.weights", kindString},
+	{"model.codebook", kindString},
+	{"metrics_addr", kindString},
+	{"distribution", kindString},
+}
+
 // ConfigKeys lists every YAML key LoadConfig understands, nested keys
 // in dotted form. DESIGN.md's config table and cmd/eoml's sample config
 // are tested against this list, so a key added to LoadConfig without an
 // entry here (or an entry without parsing code) fails the build — see
 // TestConfigKeysMatchParser.
 func ConfigKeys() []string {
-	return []string{
-		"satellite",
-		"year",
-		"doy",
-		"granules",
-		"archive.url",
-		"archive.token",
-		"paths.data",
-		"paths.tiles",
-		"paths.outbox",
-		"paths.dest",
-		"workers.download",
-		"workers.preprocess",
-		"workers.inference",
-		"tile.pixels",
-		"tile.min_cloud_fraction",
-		"poll_interval_ms",
-		"stall_timeout_ms",
-		"batch.tiles",
-		"batch.delay_ms",
-		"precision",
-		"model.weights",
-		"model.codebook",
-		"metrics_addr",
-		"distribution",
+	keys := make([]string, len(configSchema))
+	for i, k := range configSchema {
+		keys[i] = k.key
 	}
+	return keys
+}
+
+// checkKeys flattens the parsed document to dotted keys and rejects the
+// first (in sorted order) that ConfigKeys does not list, naming the
+// closest known key, or whose value has the wrong kind — so a typo such
+// as `precison: int8` fails loudly instead of running on the default.
+// Null values count as absent.
+func checkKeys(doc map[string]any) error {
+	flat := map[string]any{}
+	flatten("", doc, flat)
+	keys := make([]string, 0, len(flat))
+	for k := range flat {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	kinds := map[string]valueKind{}
+	for _, k := range configSchema {
+		kinds[k.key] = k.kind
+	}
+	for _, key := range keys {
+		kind, ok := kinds[key]
+		if !ok {
+			return fmt.Errorf("core: unknown config key %q (did you mean %q?)", key, closestKey(key))
+		}
+		if v := flat[key]; !kind.accepts(v) {
+			return fmt.Errorf("core: config key %q must be %s, got %T %v", key, kind, v, v)
+		}
+	}
+	return nil
+}
+
+// flatten writes m's non-null leaves into out under dotted keys.
+func flatten(prefix string, m map[string]any, out map[string]any) {
+	for k, v := range m {
+		switch v := v.(type) {
+		case nil:
+		case map[string]any:
+			flatten(prefix+k+".", v, out)
+		default:
+			out[prefix+k] = v
+		}
+	}
+}
+
+// closestKey is the known config key nearest to key by edit distance.
+func closestKey(key string) string {
+	best, bestDist := "", -1
+	for _, k := range configSchema {
+		if d := editDistance(key, k.key); bestDist < 0 || d < bestDist {
+			best, bestDist = k.key, d
+		}
+	}
+	return best
+}
+
+// editDistance is the Levenshtein distance between a and b.
+func editDistance(a, b string) int {
+	prev := make([]int, len(b)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur := make([]int, len(b)+1)
+		cur[0] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev = cur
+	}
+	return prev[len(b)]
 }
 
 // LoadConfigFile reads and parses a YAML config from disk.

@@ -394,16 +394,32 @@ model:
 	}
 }
 
+// TestLoadConfigErrors: bad values, unknown keys and mistyped values
+// fail; where want is set, the error says which key and why (a
+// misspelled key names the closest known one).
 func TestLoadConfigErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad satellite": "satellite: Sentinel\narchive:\n  url: http://x\npaths:\n  data: a\n  tiles: b\n  outbox: c\n  dest: d",
-		"bad granule":   "granules: [oops]\narchive:\n  url: http://x\npaths:\n  data: a\n  tiles: b\n  outbox: c\n  dest: d",
-		"missing paths": "archive:\n  url: http://x",
-		"bad yaml":      "a: [1,",
+	const valid = "archive:\n  url: http://x\npaths:\n  data: a\n  tiles: b\n  outbox: c\n  dest: d\n"
+	if _, err := LoadConfig([]byte(valid)); err != nil {
+		t.Fatalf("valid base config: %v", err)
 	}
-	for name, doc := range cases {
-		if _, err := LoadConfig([]byte(doc)); err == nil {
+	cases := map[string]struct{ doc, want string }{
+		"bad satellite":            {doc: "satellite: Sentinel\n" + valid},
+		"bad granule":              {doc: "granules: [oops]\n" + valid},
+		"missing paths":            {doc: "archive:\n  url: http://x"},
+		"bad yaml":                 {doc: "a: [1,"},
+		"misspelled top-level key": {valid + "precison: int8\n", `"precison" (did you mean "precision"?)`},
+		"misspelled nested key":    {valid + "workers:\n  preproces: 4\n", `"workers.preproces" (did you mean "workers.preprocess"?)`},
+		"wrong-typed value":        {valid + "year: \"2022\"\n", `"year" must be an integer, got string 2022`},
+		"scalar for a section":     {"archive: http://x\n", `"archive" (did you mean "archive.url"?)`},
+	}
+	for name, tc := range cases {
+		_, err := LoadConfig([]byte(tc.doc))
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", name, err, tc.want)
 		}
 	}
 }

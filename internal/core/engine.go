@@ -9,22 +9,22 @@ import (
 	"github.com/eoml/eoml/internal/laads"
 	"github.com/eoml/eoml/internal/metrics"
 	"github.com/eoml/eoml/internal/ricc"
-	"github.com/eoml/eoml/internal/tensor"
 )
 
 // Engine hosts N isolated workflow runs in one process — the control
 // plane's execution substrate. What is expensive or shared lives here
 // exactly once: loaded model weights (keyed by artifact paths, so a
-// hundred runs of the same campaign share one weight copy), the tile
-// decode scratch arena, and the per-tenant archive quotas. What belongs
-// to one run — its config, metric registry, health tracker, provenance
-// store, and stage objects — lives on the Run values NewRun hands out,
-// so concurrent runs never collide on state.
+// hundred runs of the same campaign share one weight copy), the
+// preprocess kernels with their tile decode arena, and the per-tenant
+// archive quotas. What belongs to one run — its config, metric
+// registry, health tracker, provenance store, and stage objects — lives
+// on the Run values NewRun hands out, so concurrent runs never collide
+// on state.
 type Engine struct {
-	labeler *aicca.Labeler       // optional programmatic labeler shared by every run
-	quotas  *laads.QuotaPool     // per-tenant archive request quotas (nil = unlimited)
-	extract *tensor.ShardedArena // shared per-granule decode scratch
-	fleet   *fleet.Coordinator   // worker fleet (nil = fleet distribution unavailable)
+	labeler *aicca.Labeler     // optional programmatic labeler shared by every run
+	quotas  *laads.QuotaPool   // per-tenant archive request quotas (nil = unlimited)
+	kernels *fleet.Kernels     // preprocess kernels local runs execute in-process
+	fleet   *fleet.Coordinator // worker fleet (nil = fleet distribution unavailable)
 
 	mu     sync.Mutex
 	models map[string]*aicca.Labeler // disk-loaded labelers keyed by model|codebook
@@ -48,7 +48,7 @@ func NewEngine(opts EngineOptions) *Engine {
 	return &Engine{
 		labeler: opts.Labeler,
 		quotas:  opts.Quotas,
-		extract: tensor.NewShardedArena(),
+		kernels: fleet.NewKernels(),
 		fleet:   opts.Fleet,
 		models:  map[string]*aicca.Labeler{},
 	}
@@ -100,8 +100,8 @@ type RunOptions struct {
 
 // NewRun validates the config and builds an isolated run over the
 // engine's shared resources: its own child metric registry, health
-// tracker, and stage state, plus the shared weights, decode arena, and
-// tenant quota.
+// tracker, and stage state, plus the shared weights, preprocess
+// kernels, and tenant quota.
 func (e *Engine) NewRun(cfg Config, opts RunOptions) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -127,13 +127,13 @@ func (e *Engine) NewRun(cfg Config, opts RunOptions) (*Run, error) {
 		id:      opts.ID,
 		tenant:  opts.Tenant,
 		labeler: labeler,
-		extract: e.extract,
+		kernels: e.kernels,
 		fleet:   e.fleet,
 		quota:   e.quotas.Tenant(tenantOrDefault(opts.Tenant)),
 		metrics: reg,
 		health:  metrics.NewHealth(),
 	}
-	r.extract.Instrument(r.metrics, "tile")
+	r.kernels.Arena().Instrument(r.metrics, "tile")
 	return r, nil
 }
 

@@ -3,21 +3,19 @@ package core
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/eoml/eoml/internal/aicca"
+	"github.com/eoml/eoml/internal/compute"
 	"github.com/eoml/eoml/internal/fleet"
-	"github.com/eoml/eoml/internal/hdf"
 	"github.com/eoml/eoml/internal/laads"
 	"github.com/eoml/eoml/internal/metrics"
 	"github.com/eoml/eoml/internal/modis"
-	"github.com/eoml/eoml/internal/parsl"
 	"github.com/eoml/eoml/internal/provenance"
 	"github.com/eoml/eoml/internal/stage"
-	"github.com/eoml/eoml/internal/tensor"
-	"github.com/eoml/eoml/internal/tile"
 	"github.com/eoml/eoml/internal/trace"
 )
 
@@ -47,17 +45,18 @@ type Report struct {
 // (RunStream) — are thin drivers over the same stage objects from
 // internal/stage, composed in different orders. Every Run owns its own
 // metric registry, health tracker, and stage state; the model weights,
-// decode arena, and archive quota it uses are the engine's shared ones.
+// preprocess kernels, and archive quota it uses are the engine's shared
+// ones.
 type Run struct {
 	cfg     Config
 	id      string
 	tenant  string
 	labeler *aicca.Labeler
 	prov    *provenance.Store
-	// extract recycles per-granule decode scratch across the concurrent
-	// preprocessing workers (one shard per worker in flight); shared
-	// engine-wide, so concurrent runs recycle one pool.
-	extract *tensor.ShardedArena
+	// kernels is the engine-wide preprocess kernel set local runs
+	// execute — the one every fleet worker serves — so concurrent runs
+	// recycle one decode arena.
+	kernels *fleet.Kernels
 	// fleet leases preprocess/inference tasks to worker processes when
 	// cfg.Distribution is "fleet"; nil otherwise.
 	fleet   *fleet.Coordinator
@@ -238,14 +237,17 @@ func (p *Run) Run(ctx context.Context) (*Report, error) {
 		return nil
 	})
 	preprocess := stage.Func("preprocess", func(ctx context.Context, rc *stage.RunContext) error {
-		rc.EventCounter("preprocess", stage.EventIn).Add(int64(len(p.cfg.GranuleIDs())))
-		var files, tiles int
-		var err error
-		if p.cfg.Distribution == DistributionFleet {
-			files, tiles, err = p.preprocessFleet(ctx, rc)
-		} else {
-			files, tiles, err = p.preprocessBatch(ctx, rc)
+		granules := p.cfg.GranuleIDs()
+		rc.EventCounter("preprocess", stage.EventIn).Add(int64(len(granules)))
+		pp, err := p.newPreprocessing(rc, "preprocess")
+		if err != nil {
+			return err
 		}
+		defer pp.close()
+		for _, g := range granules {
+			pp.preprocess(ctx, g, nil)
+		}
+		files, tiles, err := pp.wait()
 		if err != nil {
 			return err
 		}
@@ -265,125 +267,106 @@ func (p *Run) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// preprocessBatch runs the Parsl block over every configured granule
-// and returns (tileFiles, tilesProduced).
-func (p *Run) preprocessBatch(ctx context.Context, rc *stage.RunContext) (int, int, error) {
-	exec, err := parsl.NewHTEX(parsl.HTEXConfig{
-		Label:          "preprocess",
-		WorkersPerNode: p.cfg.PreprocessWorkers,
-		InitBlocks:     1,
-		MaxBlocks:      1,
+// taskFuture is the result handle both preprocess executors return.
+type taskFuture interface {
+	Get(ctx context.Context) (any, error)
+}
+
+// preprocessing runs one Run or RunStream call's preprocess tasks on
+// the executor chosen once for the call: the fleet coordinator under
+// distribution fleet, otherwise an in-process compute endpoint serving
+// the engine's fleet.Kernels. Both run the same kernel on the same task
+// arguments. It tallies the outcomes as tasks settle.
+type preprocessing struct {
+	run    *Run
+	submit func(ctx context.Context, args map[string]any) (taskFuture, error)
+	// archiveURL/archiveToken ride along on fleet tasks, so a worker
+	// without the run's filesystem fetches the granule itself. Local
+	// tasks carry none: the download stage has already filled DataDir,
+	// so a missing input is a read error, never a second fetch.
+	archiveURL, archiveToken string
+	// taskDone observes every task's completion.
+	taskDone func()
+	// stopExecutor releases the executor once every task has settled.
+	stopExecutor func()
+	wg           sync.WaitGroup
+
+	mu sync.Mutex
+	// files counts granules that yielded a tile file. guarded by mu
+	files int
+	// tiles sums the tiles produced. guarded by mu
+	tiles int
+	// err is the first task failure. guarded by mu
+	err error
+}
+
+// newPreprocessing chooses this call's executor. Locally that is a
+// compute endpoint of cfg.PreprocessWorkers workers, labeled
+// executor=label on the run's registry, whose worker count drives the
+// preprocess timeline and health beat.
+func (p *Run) newPreprocessing(rc *stage.RunContext, label string) (*preprocessing, error) {
+	if p.cfg.Distribution == DistributionFleet {
+		// Parallelism is bounded by fleet capacity, not a local pool; the
+		// timeline records tasks submitted and not yet settled.
+		var outstanding atomic.Int64
+		mark := func(delta int64) {
+			rc.Timeline.Record("preprocess", rc.Since(), int(outstanding.Add(delta)))
+			rc.Health.Beat("preprocess")
+		}
+		return &preprocessing{
+			run: p,
+			submit: func(ctx context.Context, args map[string]any) (taskFuture, error) {
+				fut, err := p.fleet.Submit(ctx, fleet.PreprocessFunction, args)
+				if err != nil {
+					return nil, err
+				}
+				mark(+1)
+				return fut, nil
+			},
+			archiveURL:   p.cfg.ArchiveURL,
+			archiveToken: p.cfg.ArchiveToken,
+			taskDone:     func() { mark(-1) },
+			stopExecutor: func() {},
+		}, nil
+	}
+	reg := compute.NewRegistry()
+	if err := p.kernels.Register(reg); err != nil {
+		return nil, err
+	}
+	ep, err := compute.NewEndpoint(label, reg, compute.EndpointConfig{
+		Workers: p.cfg.PreprocessWorkers,
 		OnWorkerChange: func(busy int) {
 			rc.Timeline.Record("preprocess", rc.Since(), busy)
 			rc.Health.Beat("preprocess")
 		},
 	})
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	exec.Instrument(p.metrics)
-	if err := exec.Start(ctx); err != nil {
-		return 0, 0, err
-	}
-	defer exec.Shutdown(ctx)
-	dfk, err := parsl.NewDFK(exec, parsl.DFKConfig{Retries: 1})
-	if err != nil {
-		return 0, 0, err
-	}
-
-	granules := p.cfg.GranuleIDs()
-	apps := make([]parsl.App, len(granules))
-	for i, g := range granules {
-		g := g
-		apps[i] = func(ctx context.Context) (any, error) {
-			return p.preprocessGranule(g)
-		}
-	}
-	files, tiles := 0, 0
-	for i, f := range dfk.Map("tiles", apps) {
-		v, err := f.Get(ctx)
-		if err != nil {
-			return 0, 0, fmt.Errorf("granule %d: %w", granules[i].Index, err)
-		}
-		r := v.(preResult)
-		tiles += r.tiles
-		if r.hasFile {
-			files++
-		}
-	}
-	return files, tiles, exec.Shutdown(ctx)
+	ep.Instrument(p.metrics, label)
+	ep.Start()
+	return &preprocessing{
+		run: p,
+		submit: func(_ context.Context, args map[string]any) (taskFuture, error) {
+			fut, err := ep.Submit(fleet.PreprocessFunction, args)
+			if err != nil {
+				return nil, err
+			}
+			return fut, nil
+		},
+		taskDone:     func() {},
+		stopExecutor: ep.Stop,
+	}, nil
 }
 
-// preResult is the per-granule outcome of the preprocessing app.
-type preResult struct {
-	tiles   int
-	hasFile bool
-}
-
-// preprocessFleet leases one tile-extraction task per granule to the
-// worker fleet — all submitted up front, so in-flight parallelism is
-// bounded by fleet capacity, not this process's worker pool — and
-// returns (tileFiles, tilesProduced).
-func (p *Run) preprocessFleet(ctx context.Context, rc *stage.RunContext) (int, int, error) {
-	granules := p.cfg.GranuleIDs()
-	futs := make([]*fleet.Future, len(granules))
-	for i, g := range granules {
-		fut, err := p.fleet.Submit(ctx, fleet.PreprocessFunction, p.preprocessArgs(g).Args())
-		if err != nil {
-			return 0, 0, fmt.Errorf("granule %d: %w", g.Index, err)
-		}
-		futs[i] = fut
-	}
-	files, tiles := 0, 0
-	for i, fut := range futs {
-		started := time.Now()
-		v, err := fut.Get(ctx)
-		if err != nil {
-			return 0, 0, fmt.Errorf("granule %d: %w", granules[i].Index, err)
-		}
-		res, err := fleet.ParsePreprocessResult(v)
-		if err != nil {
-			return 0, 0, err
-		}
-		tiles += res.Tiles
-		if res.File != "" {
-			files++
-			p.recordPreprocess(granules[i], res.File, res.Tiles, started, time.Now())
-		}
-		rc.Health.Beat("preprocess")
-		rc.Timeline.Record("preprocess", rc.Since(), len(futs)-(i+1))
-	}
-	return files, tiles, nil
-}
-
-// preprocessViaFleet is the single-granule form used by the streaming
-// driver's per-arrival apps.
-func (p *Run) preprocessViaFleet(ctx context.Context, g modis.GranuleID) (any, error) {
+// preprocess submits g's tile-extraction task at once, so tasks reach
+// the executor in the caller's order, then waits for it on a goroutine
+// of its own: parses the result, records provenance timed from
+// submission to result, tallies it, and calls done (when set).
+func (pp *preprocessing) preprocess(ctx context.Context, g modis.GranuleID, done func()) {
+	p := pp.run
 	started := time.Now()
-	fut, err := p.fleet.Submit(ctx, fleet.PreprocessFunction, p.preprocessArgs(g).Args())
-	if err != nil {
-		return nil, err
-	}
-	v, err := fut.Get(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res, err := fleet.ParsePreprocessResult(v)
-	if err != nil {
-		return nil, err
-	}
-	if res.File == "" {
-		return preResult{}, nil
-	}
-	p.recordPreprocess(g, res.File, res.Tiles, started, time.Now())
-	return preResult{tiles: res.Tiles, hasFile: true}, nil
-}
-
-// preprocessArgs builds the granule-ref task arguments: paths on
-// shared storage plus archive coordinates so a worker without the
-// run's filesystem can fetch inputs itself.
-func (p *Run) preprocessArgs(g modis.GranuleID) fleet.PreprocessArgs {
-	return fleet.PreprocessArgs{
+	fut, err := pp.submit(ctx, fleet.PreprocessArgs{
 		Satellite:    g.Satellite.String(),
 		Year:         g.Year,
 		DOY:          g.DOY,
@@ -392,48 +375,55 @@ func (p *Run) preprocessArgs(g modis.GranuleID) fleet.PreprocessArgs {
 		TileDir:      p.cfg.TileDir,
 		TilePixels:   p.cfg.TilePixels,
 		MinCloudFrac: p.cfg.MinCloudFrac,
-		ArchiveURL:   p.cfg.ArchiveURL,
-		ArchiveToken: p.cfg.ArchiveToken,
-	}
+		ArchiveURL:   pp.archiveURL,
+		ArchiveToken: pp.archiveToken,
+	}.Args())
+	pp.wg.Add(1)
+	go func() {
+		defer pp.wg.Done()
+		var res fleet.PreprocessResult
+		if err == nil {
+			var v any
+			v, err = fut.Get(ctx)
+			pp.taskDone()
+			if err == nil {
+				res, err = fleet.ParsePreprocessResult(v)
+			}
+		}
+		if err == nil && res.File != "" {
+			p.recordPreprocess(g, res.File, res.Tiles, started, time.Now())
+		}
+		pp.mu.Lock()
+		switch {
+		case err != nil:
+			if pp.err == nil {
+				pp.err = fmt.Errorf("granule %d: %w", g.Index, err)
+			}
+		case res.File != "":
+			pp.files++
+			pp.tiles += res.Tiles
+		}
+		pp.mu.Unlock()
+		if done != nil {
+			done()
+		}
+	}()
 }
 
-// preprocessGranule converts one granule triple into a tile NetCDF.
-func (p *Run) preprocessGranule(g modis.GranuleID) (any, error) {
-	started := time.Now()
-	read := func(kind modis.Kind) (*hdf.File, error) {
-		prod := modis.Product{Satellite: g.Satellite, Kind: kind}
-		return hdf.ReadFile(filepath.Join(p.cfg.DataDir, modis.FileName(prod, g)))
-	}
-	mod02, err := read(modis.L1B)
-	if err != nil {
-		return nil, err
-	}
-	mod03, err := read(modis.Geo)
-	if err != nil {
-		return nil, err
-	}
-	mod06, err := read(modis.Cloud)
-	if err != nil {
-		return nil, err
-	}
-	res, err := tile.Extract(mod02, mod03, mod06, tile.Options{
-		TileSize:     p.cfg.TilePixels,
-		MinCloudFrac: p.cfg.MinCloudFrac,
-		Arena:        p.extract,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Tiles) == 0 {
-		return preResult{}, nil // night granule or no ocean clouds
-	}
-	name := fmt.Sprintf("tiles.%s.A%04d%03d.%s.nc", g.Satellite.Prefix(), g.Year, g.DOY, g.HHMM())
-	path := filepath.Join(p.cfg.TileDir, name)
-	if err := tile.WriteNetCDF(path, res.Tiles); err != nil {
-		return nil, err
-	}
-	p.recordPreprocess(g, path, len(res.Tiles), started, time.Now())
-	return preResult{tiles: len(res.Tiles), hasFile: true}, nil
+// wait blocks until every submitted task settles and returns
+// (tileFiles, tilesProduced, first error).
+func (pp *preprocessing) wait() (int, int, error) {
+	pp.wg.Wait()
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	return pp.files, pp.tiles, pp.err
+}
+
+// close waits for every task, then stops the executor; a local
+// endpoint drains its queue first.
+func (pp *preprocessing) close() {
+	pp.wg.Wait()
+	pp.stopExecutor()
 }
 
 // Summary renders a one-paragraph report.

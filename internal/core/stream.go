@@ -6,7 +6,6 @@ import (
 
 	"github.com/eoml/eoml/internal/laads"
 	"github.com/eoml/eoml/internal/modis"
-	"github.com/eoml/eoml/internal/parsl"
 	"github.com/eoml/eoml/internal/stage"
 )
 
@@ -41,32 +40,16 @@ func (p *Run) RunStream(ctx context.Context, arrivals <-chan int) (*Report, erro
 }
 
 // ingestStream consumes the arrival feed: each granule's product triple
-// is downloaded and its preprocessing app submitted to a persistent
-// executor; once the stream closes, the preprocessing backlog drains and
-// the inference service learns how many tile files to expect.
+// is downloaded and its preprocess task submitted straight to the
+// call's executor; once the stream closes, the preprocessing backlog
+// drains and the inference service learns how many tile files to
+// expect.
 func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <-chan int, rep *Report, svc *stage.InferenceService) error {
-	exec, err := parsl.NewHTEX(parsl.HTEXConfig{
-		Label:          "stream-preprocess",
-		WorkersPerNode: p.cfg.PreprocessWorkers,
-		InitBlocks:     1,
-		MaxBlocks:      1,
-		OnWorkerChange: func(busy int) {
-			rc.Timeline.Record("preprocess", rc.Since(), busy)
-			rc.Health.Beat("preprocess")
-		},
-	})
+	pp, err := p.newPreprocessing(rc, "stream-preprocess")
 	if err != nil {
 		return err
 	}
-	exec.Instrument(p.metrics)
-	if err := exec.Start(ctx); err != nil {
-		return err
-	}
-	defer exec.Shutdown(ctx)
-	dfk, err := parsl.NewDFK(exec, parsl.DFKConfig{Retries: 1})
-	if err != nil {
-		return err
-	}
+	defer pp.close()
 
 	// The paper's download and preprocess stages live inside this one
 	// ingest stage in streaming mode; register their series eagerly so a
@@ -80,7 +63,6 @@ func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <
 	client := laads.NewClient(p.cfg.ArchiveURL, p.cfg.ArchiveToken)
 	client.Quota = p.quota
 	client.Instrument(p.metrics)
-	var futs []*parsl.AppFuture
 	for open := true; open; {
 		var idx int
 		select {
@@ -118,31 +100,17 @@ func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <
 		rc.Health.Beat("download")
 
 		rc.Event("preprocess", stage.EventIn)
-		futs = append(futs, dfk.Submit(fmt.Sprintf("stream-tiles[%d]", idx), func(ctx context.Context) (any, error) {
-			if p.cfg.Distribution == DistributionFleet {
-				return p.preprocessViaFleet(ctx, g)
-			}
-			return p.preprocessGranule(g)
-		}))
+		pp.preprocess(ctx, g, func() { rc.Event("preprocess", stage.EventOut) })
 	}
 
 	// Stream closed: drain preprocessing and publish the expectation.
-	expect := 0
-	for i, f := range futs {
-		v, err := f.Get(ctx)
-		if err != nil {
-			return fmt.Errorf("preprocess %d: %w", i, err)
-		}
-		r := v.(preResult)
-		rep.TilesProduced += r.tiles
-		if r.hasFile {
-			expect++
-		}
-		rc.Event("preprocess", stage.EventOut)
+	files, tiles, err := pp.wait()
+	if err != nil {
+		return err
 	}
-	rep.TileFiles = expect
-	svc.ExpectFiles(expect)
+	rep.TileFiles, rep.TilesProduced = files, tiles
+	svc.ExpectFiles(files)
 	rc.Health.Done("download")
 	rc.Health.Done("preprocess")
-	return exec.Shutdown(ctx)
+	return nil
 }

@@ -9,8 +9,7 @@
 // bounds, lease + requeue when a worker's heartbeats stop, speculative
 // work stealing from stragglers (safe because every kernel writes its
 // output atomically and deterministically, so a duplicated task is
-// idempotent), and elastic scale-out/in hints mirroring internal/parsl
-// block allocation.
+// idempotent).
 package fleet
 
 import (
@@ -69,27 +68,13 @@ type TaskError struct{ Msg string }
 
 func (e *TaskError) Error() string { return e.Msg }
 
-// Scaler receives the coordinator's elastic provisioning hints, the
-// counterpart of internal/parsl's block Provider: ScaleOut when the
-// backlog exceeds fleet capacity, ScaleIn when workers sit idle. Both
-// are hints — the scaler owns the actual worker lifecycle. Calls are
-// made outside the coordinator's lock and may block briefly.
-type Scaler interface {
-	// ScaleOut reports that `backlog` pending tasks have no free worker
-	// slot to run on.
-	ScaleOut(backlog int)
-	// ScaleIn reports workers that have been idle past the configured
-	// retirement age and may be shut down.
-	ScaleIn(ids []string)
-}
-
 // Config tunes a Coordinator.
 type Config struct {
 	// HeartbeatTimeout evicts a worker whose last heartbeat is older
 	// than this; its uncompleted leases are requeued. Default 3s.
 	HeartbeatTimeout time.Duration
-	// SweepEvery is the period of the background liveness/steal/scale
-	// sweep started by Start. Default HeartbeatTimeout/4.
+	// SweepEvery is the period of the background liveness/steal sweep
+	// started by Start. Default HeartbeatTimeout/4.
 	SweepEvery time.Duration
 	// MaxAttempts bounds dispatches per task (first try + requeues).
 	// Default 3.
@@ -100,9 +85,6 @@ type Config struct {
 	// atomically and deterministically, so duplication is safe.
 	// 0 means the default 10s; negative disables stealing.
 	StealAfter time.Duration
-	// IdleRetireAfter is how long a worker must be idle before the
-	// coordinator hints ScaleIn for it; 0 disables the hint.
-	IdleRetireAfter time.Duration
 	// LeaseBatch caps how many pending tasks one dispatch leases to a
 	// worker in a single transport round-trip (when the Transport also
 	// implements BatchTransport). Default 8; 1 disables batching.
@@ -110,8 +92,6 @@ type Config struct {
 	// Transport executes tasks on workers; default is the compute HTTP
 	// transport.
 	Transport Transport
-	// Scaler, when set, receives elastic provisioning hints.
-	Scaler Scaler
 	// Clock replaces the time source (tests). Default time.Now.
 	Clock func() time.Time
 }
@@ -151,11 +131,6 @@ type worker struct {
 	lastBeat time.Time
 	// inflight counts leases currently executing there. guarded by mu
 	inflight int
-	// idleSince is when inflight last dropped to zero. guarded by mu
-	idleSince time.Time
-	// retireHinted records that ScaleIn already named this worker, so
-	// sweeps do not nag the scaler every period. guarded by mu
-	retireHinted bool
 }
 
 // task is one unit of leased work.
@@ -329,14 +304,12 @@ func (c *Coordinator) Register(id, url string, capacity int) error {
 	}
 	w, ok := c.workers[id]
 	if !ok {
-		now := c.cfg.Clock()
-		w = &worker{id: id, idleSince: now}
+		w = &worker{id: id}
 		c.workers[id] = w
 	}
 	w.url = url
 	w.capacity = capacity
 	w.lastBeat = c.cfg.Clock()
-	w.retireHinted = false
 	c.dispatchLocked()
 	c.mu.Unlock()
 	return nil
@@ -422,8 +395,8 @@ func (c *Coordinator) Submit(ctx context.Context, function string, args map[stri
 	return t.fut, nil
 }
 
-// Start launches the periodic sweep (heartbeat eviction, stealing,
-// scale hints) until ctx is done or Close is called. Tests that use a
+// Start launches the periodic sweep (heartbeat eviction, stealing)
+// until ctx is done or Close is called. Tests that use a
 // fake clock skip Start and call Sweep directly.
 func (c *Coordinator) Start(ctx context.Context) {
 	c.loopWG.Add(1)
@@ -463,12 +436,11 @@ func (c *Coordinator) Close() {
 }
 
 // Sweep runs one liveness pass: evict workers past their heartbeat
-// budget (requeueing their leases), dispatch, steal from stragglers,
-// and emit scale hints. Start calls this periodically; tests call it
-// directly after advancing a fake clock.
+// budget (requeueing their leases), dispatch, and steal from
+// stragglers. Start calls this periodically; tests call it directly
+// after advancing a fake clock.
 func (c *Coordinator) Sweep() {
 	now := c.cfg.Clock()
-	var hint scaleHint
 	c.mu.Lock()
 	for id, w := range c.workers {
 		if now.Sub(w.lastBeat) <= c.cfg.HeartbeatTimeout {
@@ -478,9 +450,7 @@ func (c *Coordinator) Sweep() {
 	}
 	c.dispatchLocked()
 	c.stealLocked(now)
-	hint = c.scaleHintLocked(now)
 	c.mu.Unlock()
-	c.applyScale(hint)
 }
 
 // evictLocked removes a worker and requeues its sole-assigned leases.
@@ -625,7 +595,6 @@ func (c *Coordinator) leaseLocked(t *task, w *worker, now time.Time) {
 	t.assigned[w.id] = true
 	c.leased[t.id] = t
 	w.inflight++
-	w.retireHinted = false
 	c.wg.Add(1)
 	go c.execute(t, w)
 }
@@ -638,9 +607,6 @@ func (c *Coordinator) execute(t *task, w *worker) {
 
 	c.mu.Lock()
 	w.inflight--
-	if w.inflight == 0 {
-		w.idleSince = c.cfg.Clock()
-	}
 	mine := t.assigned[w.id]
 	delete(t.assigned, w.id)
 	if len(t.assigned) == 0 {
@@ -691,7 +657,6 @@ func (c *Coordinator) leaseBatchLocked(ts []*task, w *worker, now time.Time, bt 
 		c.leased[t.id] = t
 	}
 	w.inflight += len(ts)
-	w.retireHinted = false
 	c.wg.Add(1)
 	go c.executeBatch(ts, w, bt)
 }
@@ -717,9 +682,6 @@ func (c *Coordinator) executeBatch(ts []*task, w *worker, bt BatchTransport) {
 
 	c.mu.Lock()
 	w.inflight -= len(ts)
-	if w.inflight == 0 {
-		w.idleSince = c.cfg.Clock()
-	}
 	if err == nil {
 		if h := c.resultBatchHist.Load(); h != nil {
 			h.Observe(float64(len(results)))
@@ -786,52 +748,5 @@ func (c *Coordinator) stealLocked(now time.Time) {
 		t.stolen = true
 		c.stolen.Add(1)
 		c.leaseLocked(t, w, now)
-	}
-}
-
-// scaleHint is one sweep's elastic provisioning advice.
-type scaleHint struct {
-	out    int
-	retire []string
-}
-
-// scaleHintLocked computes this sweep's hints: uncovered backlog for
-// ScaleOut, long-idle workers for ScaleIn.
-func (c *Coordinator) scaleHintLocked(now time.Time) scaleHint {
-	if c.cfg.Scaler == nil {
-		return scaleHint{}
-	}
-	free := 0
-	for _, w := range c.workers {
-		if spare := w.capacity - w.inflight; spare > 0 {
-			free += spare
-		}
-	}
-	var h scaleHint
-	if uncovered := len(c.pending) - free; uncovered > 0 {
-		h.out = uncovered
-	}
-	if c.cfg.IdleRetireAfter > 0 {
-		for _, w := range c.workers {
-			if w.inflight == 0 && !w.retireHinted && now.Sub(w.idleSince) > c.cfg.IdleRetireAfter {
-				w.retireHinted = true
-				h.retire = append(h.retire, w.id)
-			}
-		}
-		sort.Strings(h.retire)
-	}
-	return h
-}
-
-// applyScale delivers hints outside the lock (the scaler may block).
-func (c *Coordinator) applyScale(h scaleHint) {
-	if c.cfg.Scaler == nil {
-		return
-	}
-	if h.out > 0 {
-		c.cfg.Scaler.ScaleOut(h.out)
-	}
-	if len(h.retire) > 0 {
-		c.cfg.Scaler.ScaleIn(h.retire)
 	}
 }

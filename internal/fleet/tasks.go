@@ -122,7 +122,8 @@ type KernelConfig struct {
 	Quota *laads.QuotaPool
 }
 
-// Kernels hosts the worker-side task implementations against shared
+// Kernels hosts the task implementations — served by every fleet
+// worker, and in-process by core for local runs — against shared
 // per-process state: one decode arena for tile extraction, a
 // model/codebook cache for inference (loaded once per pair, like
 // core.Engine's weights cache), a content-addressed download cache, and
@@ -216,6 +217,11 @@ func (k *Kernels) Instrument(reg *metrics.Registry) {
 		"Granule input fetches currently running ahead of their compute slot.",
 		func() float64 { return float64(k.prefetchInflight.Load()) })
 }
+
+// Arena returns the decode scratch arena the preprocess kernel
+// recycles, so a process serving the kernels in-process can export its
+// counters.
+func (k *Kernels) Arena() *tensor.ShardedArena { return k.arena }
 
 // Register adds both task functions to a compute registry.
 func (k *Kernels) Register(reg *compute.Registry) error {
@@ -425,8 +431,6 @@ func (k *Kernels) preprocess(ctx context.Context, args map[string]any) (any, err
 	if err := os.MkdirAll(tileDir, 0o755); err != nil {
 		return nil, err
 	}
-	// Same name core's in-process path produces, so local and fleet
-	// distribution yield byte-identical layouts on shared storage.
 	name := fmt.Sprintf("tiles.%s.A%04d%03d.%s.nc", g.Satellite.Prefix(), g.Year, g.DOY, g.HHMM())
 	path := filepath.Join(tileDir, name)
 	if err := tile.WriteNetCDF(path, res.Tiles); err != nil {

@@ -262,6 +262,9 @@ func TestGranuleCacheServesIdenticalBytes(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatal("repeat downloads differ")
 	}
+	// The handler counts a chunk after writing it, so the client can
+	// finish reading first; Close waits for the handlers to return.
+	ts.Close()
 	reqs, sent := srv.Stats()
 	if reqs < 2 || sent != int64(2*len(a)) {
 		t.Fatalf("server stats: %d reqs, %d bytes (file %d)", reqs, sent, len(a))

@@ -10,8 +10,8 @@ import (
 // test: for random model shapes and batch sizes — including N=1 and N
 // not a multiple of the GEMM register block — EncodeBatch over the
 // whole set must match encoding each tile by itself within 1e-6
-// relative, and the contended-arena oracle EncodeLocked must agree
-// bit-for-bit (same kernels, different allocator).
+// relative, and so must the no-arena reference EncodeNoArena (the
+// training-path Forward kernels, no buffer reuse).
 func TestEncodeBatchMatchesPerTile(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cases := []struct {
@@ -40,7 +40,7 @@ func TestEncodeBatchMatchesPerTile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		locked, err := m.EncodeLocked(tiles)
+		reference, err := m.EncodeNoArena(tiles)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,9 +54,8 @@ func TestEncodeBatchMatchesPerTile(t *testing.T) {
 				if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 					t.Fatalf("case %+v tile %d dim %d: batched %g vs per-tile %g", tc, i, j, got, want)
 				}
-				if locked[i][j] != batched[i][j] {
-					t.Fatalf("case %+v tile %d dim %d: locked oracle %g != sharded %g",
-						tc, i, j, locked[i][j], batched[i][j])
+				if ref := float64(reference[i][j]); math.Abs(got-ref) > 1e-6*(1+math.Abs(ref)) {
+					t.Fatalf("case %+v tile %d dim %d: batched %g vs no-arena reference %g", tc, i, j, got, ref)
 				}
 			}
 		}

@@ -76,10 +76,6 @@ type Model struct {
 	// on the per-tensor fast path and steady-state serving stops
 	// regrowing the heap.
 	shards *tensor.ShardedArena
-	// locked is the previous sync.Pool-backed arena, kept as the
-	// contended oracle EncodeLocked (and BenchmarkEncodeArena) measures
-	// the sharded design against.
-	locked *tensor.Arena
 }
 
 // NewModel builds an untrained model with deterministic initialization.
@@ -126,7 +122,7 @@ func NewModel(cfg Config) (*Model, error) {
 	)
 	return &Model{
 		Cfg: cfg, encoder: encoder, decoder: decoder,
-		shards: tensor.NewShardedArena(), locked: tensor.NewArena(),
+		shards: tensor.NewShardedArena(),
 	}, nil
 }
 
@@ -370,15 +366,6 @@ func (m *Model) EncodeBatchQ8(tiles []*tile.Tile) ([][]float32, error) {
 // there is no separate small-batch entry point.
 func (m *Model) Encode(tiles []*tile.Tile) ([][]float32, error) {
 	return m.EncodeBatch(tiles)
-}
-
-// EncodeLocked runs the same batch-GEMM kernels as EncodeBatch but
-// through the model's sync.Pool-backed Arena, which synchronizes every
-// Get/Put. It exists as the contended oracle: BenchmarkEncodeArena
-// measures the sharded path against it to keep the locking cost
-// visible.
-func (m *Model) EncodeLocked(tiles []*tile.Tile) ([][]float32, error) {
-	return m.encodeWith(tiles, m.locked, m.encoder.InferBatch)
 }
 
 // EncodeNoArena is the reference implementation of Encode with no
