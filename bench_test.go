@@ -639,7 +639,6 @@ func BenchmarkPipelineE2E(b *testing.B) {
 		cfg.DestDir = filepath.Join(root, "orion")
 		cfg.TilePixels = 4
 		cfg.PreprocessWorkers = 4
-		cfg.PollInterval = 5 * time.Millisecond
 		cfg.BatchDelay = 2 * time.Millisecond
 		b.StartTimer()
 		p, err := core.New(cfg, labeler)

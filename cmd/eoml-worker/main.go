@@ -44,7 +44,7 @@ func main() {
 	advertise := flag.String("advertise", "", "endpoint URL to register instead of the listen address (NAT / multi-facility)")
 	slots := flag.Int("slots", 1, "tasks this worker executes concurrently")
 	taskTimeout := flag.Duration("task-timeout", 0, "per-task execution bound (0 = none)")
-	prefetch := flag.Int("prefetch", 2, "granules fetched ahead of a free compute slot (0 = off); extends registered capacity by the same amount")
+	prefetch := flag.Int("prefetch", 4, "granules fetched ahead of a free compute slot (0 = off); extends registered capacity by the same amount")
 	cacheDir := flag.String("cache-dir", "", "content-addressed download cache directory (empty = caching off)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "download cache size bound in bytes (0 = unbounded)")
 	archiveRPS := flag.Float64("archive-rps", 0, "per-tenant archive request-rate quota in requests/s (0 = unlimited)")

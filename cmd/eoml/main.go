@@ -153,12 +153,12 @@ tile:
   pixels: 8                # 128 / archive scale (laads-server -scale 16)
   min_cloud_fraction: 0.3
 
-poll_interval_ms: 50      # monitor crawl period
+poll_interval_ms: 50      # crawler period for externally written files; the run's monitor is a push and ignores it
 stall_timeout_ms: 300000  # abort if inference makes no progress this long
 
 batch:
   tiles: 256              # flush a coalesced encode batch at this many tiles
-  delay_ms: 20            # ... or this long after its first tile
+  delay_ms: 20            # ... or this long after its first tile (sooner when no other caller can join)
 
 precision: float32        # encode arithmetic: float32 (oracle) or int8 (quantized, faster)
 

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/eoml/eoml"
 )
@@ -35,7 +34,6 @@ func facadeConfig(t *testing.T, url string) eoml.Config {
 	cfg.Granules = []int{2, 3, 4}
 	cfg.TilePixels = 4
 	cfg.PreprocessWorkers = 4
-	cfg.PollInterval = 10 * time.Millisecond
 	cfg.DataDir = filepath.Join(root, "data")
 	cfg.TileDir = filepath.Join(root, "tiles")
 	cfg.OutboxDir = filepath.Join(root, "outbox")

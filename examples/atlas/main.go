@@ -17,7 +17,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/eoml/eoml"
 )
@@ -41,7 +40,6 @@ func main() {
 	baseCfg.ArchiveURL = server.URL
 	baseCfg.TilePixels = 4
 	baseCfg.PreprocessWorkers = 8
-	baseCfg.PollInterval = 20 * time.Millisecond
 
 	// Train once on day 1.
 	baseCfg.DataDir = filepath.Join(root, "train", "data")

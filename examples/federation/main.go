@@ -17,7 +17,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/eoml/eoml"
 )
@@ -65,7 +64,6 @@ func main() {
 	cfg.ArchiveURL = archiveSrv.URL
 	cfg.TilePixels = int(inst.Params["tile_pixels"].(int))
 	cfg.PreprocessWorkers = int(inst.Params["preprocess_workers"].(int))
-	cfg.PollInterval = 20 * time.Millisecond
 	cfg.DataDir = filepath.Join(root, "olcf", "data")
 	cfg.TileDir = filepath.Join(root, "olcf", "tiles")
 	cfg.OutboxDir = filepath.Join(root, "olcf", "outbox")

@@ -16,7 +16,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/eoml/eoml"
 )
@@ -57,7 +56,6 @@ func main() {
 	cfg.DownloadWorkers = 3
 	cfg.PreprocessWorkers = 8
 	cfg.InferenceWorkers = 1
-	cfg.PollInterval = 20 * time.Millisecond
 	cfg.DataDir = filepath.Join(defiant, "modis")
 	cfg.TileDir = filepath.Join(defiant, "tiles")
 	cfg.OutboxDir = filepath.Join(defiant, "outbox")

@@ -15,7 +15,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/eoml/eoml"
 )
@@ -42,7 +41,6 @@ func main() {
 	cfg.ArchiveToken = "demo"
 	cfg.TilePixels = 4
 	cfg.PreprocessWorkers = 4
-	cfg.PollInterval = 20 * time.Millisecond
 	cfg.DataDir = filepath.Join(root, "data")
 	cfg.TileDir = filepath.Join(root, "tiles")
 	cfg.OutboxDir = filepath.Join(root, "outbox")

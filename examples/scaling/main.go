@@ -54,7 +54,6 @@ func main() {
 	base.ArchiveURL = server.URL
 	base.ArchiveToken = token
 	base.TilePixels = 4
-	base.PollInterval = 10 * time.Millisecond
 	base.DataDir = filepath.Join(root, "seed", "data") // placeholder; per-run dirs below
 	base.TileDir = filepath.Join(root, "seed", "tiles")
 	base.OutboxDir = filepath.Join(root, "seed", "outbox")

@@ -45,7 +45,6 @@ func main() {
 		cfg.DOY = day
 		cfg.TilePixels = 4
 		cfg.PreprocessWorkers = 4
-		cfg.PollInterval = 20 * time.Millisecond
 		cfg.DataDir = filepath.Join(root, sub, "data")
 		cfg.TileDir = filepath.Join(root, sub, "tiles")
 		cfg.OutboxDir = filepath.Join(root, sub, "outbox")

@@ -3,6 +3,7 @@ package aicca
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/eoml/eoml/internal/metrics"
@@ -17,8 +18,8 @@ type BatchConfig struct {
 	// one coalesced flush is one full encode batch.
 	MaxTiles int
 	// MaxDelay flushes a partial batch this long after its first tile
-	// arrived, bounding the latency a lone file can wait behind an
-	// unfilled batch.
+	// arrived. It is an upper bound: a batch that no further caller can
+	// join flushes at once.
 	MaxDelay time.Duration
 	// Timeline, when set, receives one "inference.batch" span per flush
 	// (tile count at flush start, zero at flush end).
@@ -54,19 +55,32 @@ type batchJob struct {
 
 // BatchLabeler coalesces tiles from concurrent LabelFile/LabelTiles
 // callers into shared encode batches. The paper's stage-4 flow fires one
-// inference action per watched file; files are small (tens of tiles), so
+// inference action per tile file; files are small (tens of tiles), so
 // per-file encodes waste most of each batch. The batcher instead fills a
 // fixed-size batch across files and flushes on size or deadline — one
 // Encode (and one pass through the model arena) per flush.
 //
+// A batch also flushes as soon as no other caller can join it: the
+// batcher counts callers inside LabelFile/LabelTiles whose tiles are not
+// yet labeled, and flushes once every one of them has its job pending.
+// A lone caller never waits for the deadline; callers that queue while a
+// flush runs share the next one.
+//
 // Submission order is preserved per caller; labels are written into the
 // submitted tiles in place, exactly as Labeler.LabelTiles does.
 type BatchLabeler struct {
-	l   *Labeler
-	cfg BatchConfig
+	// encode labels one coalesced batch in place.
+	encode func([]*tile.Tile) error
+	cfg    BatchConfig
 
 	jobs chan batchJob
 	done chan struct{}
+	// callers counts callers inside LabelFile/LabelTiles whose tiles are
+	// not yet labeled; the flusher uncounts the jobs it answers.
+	callers atomic.Int64
+	// left wakes the flusher when a caller leaves without a job, which
+	// may leave every remaining caller pending.
+	left chan struct{}
 
 	batchTiles   *metrics.Histogram
 	flushSeconds *metrics.Histogram
@@ -85,15 +99,25 @@ func NewBatchLabeler(l *Labeler, cfg BatchConfig) *BatchLabeler {
 		cp.Precision = cfg.Precision
 		l = &cp
 	}
-	b := &BatchLabeler{
-		l:    l,
-		cfg:  cfg.withDefaults(),
-		jobs: make(chan batchJob, 64),
-		done: make(chan struct{}),
-	}
 	prec := PrecisionFloat32
 	if l != nil && l.Precision != "" {
 		prec = l.Precision
+	}
+	return newBatchLabeler(cfg, prec, func(tiles []*tile.Tile) error {
+		_, err := l.LabelTiles(tiles)
+		return err
+	})
+}
+
+// newBatchLabeler starts a batcher whose flushes call encode; prec only
+// labels the metric series.
+func newBatchLabeler(cfg BatchConfig, prec Precision, encode func([]*tile.Tile) error) *BatchLabeler {
+	b := &BatchLabeler{
+		encode: encode,
+		cfg:    cfg.withDefaults(),
+		jobs:   make(chan batchJob, 64),
+		done:   make(chan struct{}),
+		left:   make(chan struct{}, 1),
 	}
 	b.batchTiles = b.cfg.Metrics.Histogram("eoml_labeler_batch_tiles",
 		"Tiles per coalesced encode batch at flush time.", metrics.SizeBuckets(),
@@ -111,15 +135,18 @@ func (b *BatchLabeler) LabelTiles(tiles []*tile.Tile) error {
 	if len(tiles) == 0 {
 		return nil
 	}
+	b.callers.Add(1)
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
+		b.leave()
 		return fmt.Errorf("aicca: batch labeler is closed")
 	}
 	j := batchJob{tiles: tiles, res: make(chan error, 1)}
 	//eomlvet:ignore locksleep the send must happen under b.mu so Close cannot close b.jobs between the closed check and the send; run drains the channel without taking the lock, so the wait is bounded
 	b.jobs <- j // send under the lock so Close cannot race the channel close
 	b.mu.Unlock()
+	// The flusher uncounts this caller when it answers.
 	return <-j.res
 }
 
@@ -129,13 +156,17 @@ func (b *BatchLabeler) LabelTiles(tiles []*tile.Tile) error {
 // the encode is funneled through the batcher. Returns the number of
 // tiles labeled. Drop-in replacement for Labeler.LabelFile.
 func (b *BatchLabeler) LabelFile(path string) (int, error) {
+	// Counted during the read too, so a batch pending meanwhile waits
+	// for this file's tiles instead of flushing without them. The hold
+	// is handed over to LabelTiles' own count; a flush that lands
+	// between the two just goes without this file.
+	b.callers.Add(1)
 	tiles, err := tile.ReadNetCDF(path)
-	if err != nil {
+	if err != nil || len(tiles) == 0 {
+		b.leave()
 		return 0, err
 	}
-	if len(tiles) == 0 {
-		return 0, nil
-	}
+	b.callers.Add(-1)
 	if err := b.LabelTiles(tiles); err != nil {
 		return 0, err
 	}
@@ -147,6 +178,16 @@ func (b *BatchLabeler) LabelFile(path string) (int, error) {
 		return 0, err
 	}
 	return len(tiles), nil
+}
+
+// leave uncounts a caller that will submit no job and wakes the
+// flusher, whose pending jobs may now be all the callers left.
+func (b *BatchLabeler) leave() {
+	b.callers.Add(-1)
+	select {
+	case b.left <- struct{}{}:
+	default:
+	}
 }
 
 // Close flushes whatever is pending and stops the flusher. Idempotent;
@@ -164,9 +205,10 @@ func (b *BatchLabeler) Close() {
 	<-b.done
 }
 
-// run is the flusher loop: accumulate jobs until the batch is full or
-// the oldest pending job has waited MaxDelay, then label everything
-// pending in one Encode call.
+// run is the flusher loop: accumulate jobs until the batch is full,
+// every caller inside the batcher has its job pending, or the oldest
+// pending job has waited MaxDelay, then label everything pending in one
+// Encode call.
 //
 //eomlvet:ignore ctxflow lifecycle goroutine terminated by close(b.jobs) in Close; the flagged sends are to per-job result channels with capacity 1 and exactly one receiver, so they never block
 func (b *BatchLabeler) run() {
@@ -187,18 +229,26 @@ func (b *BatchLabeler) run() {
 			tl.Record("inference.batch", time.Since(b.cfg.Epoch).Seconds(), len(all))
 		}
 		started := time.Now()
-		_, err := b.l.LabelTiles(all)
+		err := b.encode(all)
 		b.batchTiles.Observe(float64(len(all)))
 		b.flushSeconds.Observe(time.Since(started).Seconds())
 		if tl := b.cfg.Timeline; tl != nil {
 			tl.Record("inference.batch", time.Since(b.cfg.Epoch).Seconds(), 0)
 		}
+		// Uncount before answering, so a caller that comes straight back
+		// is not mistaken for one still waiting on this flush.
+		b.callers.Add(-int64(len(pending)))
 		for _, j := range pending {
 			j.res <- err
 		}
 		pending = pending[:0]
 		count = 0
 		deadline = nil
+	}
+	// nobodyElse reports whether every caller inside the batcher has its
+	// job pending, so no one else can join the batch.
+	nobodyElse := func() bool {
+		return len(pending) > 0 && int64(len(pending)) >= b.callers.Load()
 	}
 
 	for {
@@ -210,10 +260,14 @@ func (b *BatchLabeler) run() {
 			}
 			pending = append(pending, j)
 			count += len(j.tiles)
-			if count >= b.cfg.MaxTiles {
+			if count >= b.cfg.MaxTiles || nobodyElse() {
 				flush()
 			} else if deadline == nil {
 				deadline = time.After(b.cfg.MaxDelay)
+			}
+		case <-b.left:
+			if nobodyElse() {
+				flush()
 			}
 		case <-deadline:
 			flush()

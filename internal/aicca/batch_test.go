@@ -164,3 +164,105 @@ func TestBatchLabelerClose(t *testing.T) {
 		t.Fatal("LabelTiles after Close did not fail")
 	}
 }
+
+// TestBatchLabelerLoneCallerSkipsDeadline: a caller with no one else
+// inside the batcher flushes at once, however long MaxDelay is.
+func TestBatchLabelerLoneCallerSkipsDeadline(t *testing.T) {
+	l := trainBatchLabeler(t)
+	b := NewBatchLabeler(l, BatchConfig{MaxTiles: 1 << 20, MaxDelay: time.Hour})
+	defer b.Close()
+	for round := 0; round < 3; round++ {
+		done := make(chan error, 1)
+		go func() { done <- b.LabelTiles(makeTiles(4, int64(40+round))) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: lone caller waited for the one-hour deadline", round)
+		}
+	}
+}
+
+// stubFlushes starts a batcher whose encode records each flush's tile
+// count and, for the first flush only, blocks until release closes.
+func stubFlushes(release <-chan struct{}) (*BatchLabeler, func() []int, <-chan struct{}) {
+	var mu sync.Mutex
+	var sizes []int
+	started := make(chan struct{})
+	b := newBatchLabeler(BatchConfig{MaxTiles: 1 << 20, MaxDelay: time.Hour}, PrecisionFloat32,
+		func(tiles []*tile.Tile) error {
+			mu.Lock()
+			sizes = append(sizes, len(tiles))
+			first := len(sizes) == 1
+			mu.Unlock()
+			if first {
+				close(started)
+				<-release
+			}
+			return nil
+		})
+	return b, func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int(nil), sizes...)
+	}, started
+}
+
+// TestBatchLabelerQueuedCallersShareFlush: callers that queue while a
+// flush runs are labeled together by the next flush, not one by one.
+func TestBatchLabelerQueuedCallersShareFlush(t *testing.T) {
+	release := make(chan struct{})
+	b, sizes, started := stubFlushes(release)
+	defer b.Close()
+
+	errs := make(chan error, 3)
+	go func() { errs <- b.LabelTiles(makeTiles(2, 50)) }()
+	<-started
+	go func() { errs <- b.LabelTiles(makeTiles(3, 51)) }()
+	go func() { errs <- b.LabelTiles(makeTiles(4, 52)) }()
+	// Both late callers are inside the batcher (the first is still
+	// counted until its flush answers) before the first flush ends.
+	for b.callers.Load() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(sizes()); got != "[2 7]" {
+		t.Fatalf("flush sizes %s, want [2 7]: the queued callers did not share a flush", got)
+	}
+}
+
+// TestBatchLabelerCloseFlushesPending: a job that cannot flush yet,
+// because another caller may still join, is flushed by Close.
+func TestBatchLabelerCloseFlushesPending(t *testing.T) {
+	release := make(chan struct{})
+	b, sizes, started := stubFlushes(release)
+
+	errs := make(chan error, 2)
+	go func() { errs <- b.LabelTiles(makeTiles(2, 53)) }()
+	<-started
+	go func() { errs <- b.LabelTiles(makeTiles(5, 54)) }()
+	for len(b.jobs) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	// A caller that never submits keeps the queued job from flushing on
+	// its own once the first flush ends.
+	b.callers.Add(1)
+	close(release)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(sizes()); got != "[2 5]" {
+		t.Fatalf("flush sizes %s, want [2 5]", got)
+	}
+}

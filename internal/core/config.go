@@ -50,16 +50,21 @@ type Config struct {
 	TilePixels   int // tile edge in granule pixels
 	MinCloudFrac float64
 
-	// Monitor.
+	// PollInterval is the scan period for a watch.Crawler over tile
+	// files written by other processes. The pipeline does not read it:
+	// its monitor is a push from preprocess. It stays so perfbench's
+	// crawler replay and existing configs that set poll_interval_ms keep
+	// working.
 	PollInterval time.Duration
 
 	// StallTimeout caps how long the run waits for inference to catch up
 	// with the expected tile-file count before declaring a stall.
 	StallTimeout time.Duration
 
-	// Inference batching: tiles from different watched files are
-	// coalesced into one encode batch, flushed at BatchTiles tiles or
-	// BatchDelay after the first pending tile, whichever comes first.
+	// Inference batching: tiles from different tile files are coalesced
+	// into one encode batch, flushed at BatchTiles tiles, as soon as no
+	// other inference worker can join, or BatchDelay after the first
+	// pending tile, whichever comes first.
 	BatchTiles int
 	BatchDelay time.Duration
 

@@ -100,7 +100,6 @@ func testConfig(t *testing.T, archiveURL string, granules []int) Config {
 	cfg.TilePixels = 4
 	cfg.DownloadWorkers = 3
 	cfg.PreprocessWorkers = 4
-	cfg.PollInterval = 10 * time.Millisecond
 	return cfg
 }
 

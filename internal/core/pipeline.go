@@ -141,17 +141,16 @@ func (p *Run) newReport(granules int) (*Report, *stage.RunContext) {
 	return rep, rc
 }
 
-// inferenceService builds the shared monitor+inference stage: crawler,
-// flow engine, cross-file batcher, and bounded worker pool, armed at
-// setup so labeling overlaps preprocessing (the paper's Fig. 6).
+// inferenceService builds the shared monitor+inference stage: flow
+// engine, cross-file batcher, and bounded worker pool, armed at setup so
+// labeling overlaps preprocessing (the paper's Fig. 6). Preprocessing
+// submits each tile file to it as the file's task completes.
 func (p *Run) inferenceService() *stage.InferenceService {
 	cfg := stage.InferenceConfig{
 		Labeler:      p.labeler,
 		BatchTiles:   p.cfg.BatchTiles,
 		BatchDelay:   p.cfg.BatchDelay,
 		Precision:    aicca.Precision(p.cfg.Precision),
-		WatchDir:     p.cfg.TileDir,
-		PollInterval: p.cfg.PollInterval,
 		Workers:      p.cfg.InferenceWorkers,
 		OutboxDir:    p.cfg.OutboxDir,
 		StallTimeout: p.cfg.StallTimeout,
@@ -239,7 +238,7 @@ func (p *Run) Run(ctx context.Context) (*Report, error) {
 	preprocess := stage.Func("preprocess", func(ctx context.Context, rc *stage.RunContext) error {
 		granules := p.cfg.GranuleIDs()
 		rc.EventCounter("preprocess", stage.EventIn).Add(int64(len(granules)))
-		pp, err := p.newPreprocessing(rc, "preprocess")
+		pp, err := p.newPreprocessing(rc, "preprocess", svc)
 		if err != nil {
 			return err
 		}
@@ -276,9 +275,11 @@ type taskFuture interface {
 // the executor chosen once for the call: the fleet coordinator under
 // distribution fleet, otherwise an in-process compute endpoint serving
 // the engine's fleet.Kernels. Both run the same kernel on the same task
-// arguments. It tallies the outcomes as tasks settle.
+// arguments. As tasks settle it hands each tile file to the inference
+// service and tallies the outcomes.
 type preprocessing struct {
 	run    *Run
+	svc    *stage.InferenceService
 	submit func(ctx context.Context, args map[string]any) (taskFuture, error)
 	// archiveURL/archiveToken ride along on fleet tasks, so a worker
 	// without the run's filesystem fetches the granule itself. Local
@@ -292,7 +293,7 @@ type preprocessing struct {
 	wg           sync.WaitGroup
 
 	mu sync.Mutex
-	// files counts granules that yielded a tile file. guarded by mu
+	// files counts tile files submitted for inference. guarded by mu
 	files int
 	// tiles sums the tiles produced. guarded by mu
 	tiles int
@@ -303,8 +304,8 @@ type preprocessing struct {
 // newPreprocessing chooses this call's executor. Locally that is a
 // compute endpoint of cfg.PreprocessWorkers workers, labeled
 // executor=label on the run's registry, whose worker count drives the
-// preprocess timeline and health beat.
-func (p *Run) newPreprocessing(rc *stage.RunContext, label string) (*preprocessing, error) {
+// preprocess timeline and health beat. Tile files go to svc.
+func (p *Run) newPreprocessing(rc *stage.RunContext, label string, svc *stage.InferenceService) (*preprocessing, error) {
 	if p.cfg.Distribution == DistributionFleet {
 		// Parallelism is bounded by fleet capacity, not a local pool; the
 		// timeline records tasks submitted and not yet settled.
@@ -315,6 +316,7 @@ func (p *Run) newPreprocessing(rc *stage.RunContext, label string) (*preprocessi
 		}
 		return &preprocessing{
 			run: p,
+			svc: svc,
 			submit: func(ctx context.Context, args map[string]any) (taskFuture, error) {
 				fut, err := p.fleet.Submit(ctx, fleet.PreprocessFunction, args)
 				if err != nil {
@@ -347,6 +349,7 @@ func (p *Run) newPreprocessing(rc *stage.RunContext, label string) (*preprocessi
 	ep.Start()
 	return &preprocessing{
 		run: p,
+		svc: svc,
 		submit: func(_ context.Context, args map[string]any) (taskFuture, error) {
 			fut, err := ep.Submit(fleet.PreprocessFunction, args)
 			if err != nil {
@@ -362,7 +365,10 @@ func (p *Run) newPreprocessing(rc *stage.RunContext, label string) (*preprocessi
 // preprocess submits g's tile-extraction task at once, so tasks reach
 // the executor in the caller's order, then waits for it on a goroutine
 // of its own: parses the result, records provenance timed from
-// submission to result, tallies it, and calls done (when set).
+// submission to result, submits the tile file (if any) to the inference
+// service, tallies it, and calls done (when set). A fleet result names
+// the file on shared storage, so both distributions hand off the same
+// way.
 func (pp *preprocessing) preprocess(ctx context.Context, g modis.GranuleID, done func()) {
 	p := pp.run
 	started := time.Now()
@@ -392,6 +398,7 @@ func (pp *preprocessing) preprocess(ctx context.Context, g modis.GranuleID, done
 		}
 		if err == nil && res.File != "" {
 			p.recordPreprocess(g, res.File, res.Tiles, started, time.Now())
+			err = pp.svc.Submit(ctx, res.File)
 		}
 		pp.mu.Lock()
 		switch {

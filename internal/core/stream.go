@@ -12,9 +12,9 @@ import (
 // RunStream executes the workflow in streaming mode — the paper's §V
 // extension to "batch as well as streaming data". Granule indices arrive
 // on a channel (as they would from a satellite downlink feed); each
-// arrival is downloaded and preprocessed immediately, the monitor/flow
-// machinery labels tile files as they appear, and shipment happens once
-// the stream closes and the backlog drains.
+// arrival is downloaded and preprocessed immediately, each tile file is
+// handed to the monitor/flow machinery as its task completes, and
+// shipment happens once the stream closes and the backlog drains.
 //
 // Unlike Run, preprocessing is NOT delayed until all downloads finish:
 // per-granule isolation (atomic writes, per-granule tile files) makes the
@@ -41,11 +41,11 @@ func (p *Run) RunStream(ctx context.Context, arrivals <-chan int) (*Report, erro
 
 // ingestStream consumes the arrival feed: each granule's product triple
 // is downloaded and its preprocess task submitted straight to the
-// call's executor; once the stream closes, the preprocessing backlog
-// drains and the inference service learns how many tile files to
-// expect.
+// call's executor, whose tile file goes on to the inference service;
+// once the stream closes, the preprocessing backlog drains and the
+// inference service learns how many tile files to expect.
 func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <-chan int, rep *Report, svc *stage.InferenceService) error {
-	pp, err := p.newPreprocessing(rc, "stream-preprocess")
+	pp, err := p.newPreprocessing(rc, "stream-preprocess", svc)
 	if err != nil {
 		return err
 	}

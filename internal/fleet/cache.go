@@ -166,7 +166,10 @@ func (c *DownloadCache) SizeBytes() int64 {
 // hit links (or copies) the verified entry into place without touching
 // the archive; a miss runs fill — which must download the file to the
 // returned path — and then ingests the result into the cache.
-// Concurrent fetches of one key coalesce onto a single fill.
+// Concurrent fetches of one key coalesce onto a single fill. Workers may
+// share one cache directory: a key missing from this cache's index is
+// looked up on disk, and an entry another worker wrote is verified and
+// adopted instead of refetched.
 //
 // The returned hit is true when the bytes came from the cache (including
 // coalesced waits on another caller's fill).
@@ -186,11 +189,8 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 			// Corrupted, truncated, or vanished entry: evict and fall
 			// through to a real fetch.
 			c.remove(kh)
-		} else {
-			c.mu.Unlock()
+			c.mu.Lock()
 		}
-
-		c.mu.Lock()
 		if call, ok := c.inflight[kh]; ok {
 			c.mu.Unlock()
 			select {
@@ -214,9 +214,16 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 		c.inflight[kh] = call
 		c.mu.Unlock()
 
-		path, err := fill(ctx)
-		if err == nil {
-			c.ingest(kh, path)
+		// A worker sharing the directory may have written the entry; the
+		// archive is the fallback.
+		path, hit := dest, true
+		err := c.adopt(kh, dest)
+		if err != nil {
+			hit = false
+			path, err = fill(ctx)
+			if err == nil {
+				c.ingest(kh, path)
+			}
 		}
 		c.mu.Lock()
 		delete(c.inflight, kh)
@@ -226,8 +233,12 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 		if err != nil {
 			return "", false, err
 		}
-		c.misses.Add(1)
-		return path, false, nil
+		if hit {
+			c.hits.Add(1)
+		} else {
+			c.misses.Add(1)
+		}
+		return path, hit, nil
 	}
 }
 
@@ -258,6 +269,28 @@ func (c *DownloadCache) materialize(kh, dest string) error {
 	}
 	// Cross-device or link-hostile filesystem: copy via temp+rename.
 	return copyAtomic(data, dest)
+}
+
+// adopt serves an entry that is on disk but not in the index — written
+// by another worker sharing the directory — and adds it to the LRU. An
+// entry without its hash file, or whose hash does not match, is left
+// alone: its writer may still be finishing it.
+func (c *DownloadCache) adopt(kh, dest string) error {
+	info, err := os.Stat(filepath.Join(c.dir, kh+".granule"))
+	if err != nil {
+		return err
+	}
+	if err := c.materialize(kh, dest); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	if _, ok := c.entries[kh]; !ok {
+		c.entries[kh] = c.order.PushFront(&cacheEntry{key: kh, size: info.Size()})
+		c.total += info.Size()
+		c.evictOverBudgetLocked()
+	}
+	c.mu.Unlock()
+	return nil
 }
 
 // ingest copies a freshly downloaded file into the cache under key kh.

@@ -239,6 +239,59 @@ func TestDownloadCacheRebuildsFromDisk(t *testing.T) {
 	}
 }
 
+// TestDownloadCacheAdoptsSharedEntry: two workers' caches on one
+// directory, both opened before anything was cached. The second cache
+// finds the first one's entry on disk, verifies it and serves it
+// without a fill.
+func TestDownloadCacheAdoptsSharedEntry(t *testing.T) {
+	dir := t.TempDir()
+	first, err := NewDownloadCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := NewDownloadCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
+	var calls atomic.Int64
+	d1 := t.TempDir()
+	if _, _, err := first.Fetch(context.Background(), key, d1, cacheFill(t, d1, key.Name, "shared", &calls)); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := t.TempDir()
+	path, hit, err := second.Fetch(context.Background(), key, d2, cacheFill(t, d2, key.Name, "refetched", &calls))
+	if err != nil || !hit {
+		t.Fatalf("second cache fetch: hit=%v err=%v", hit, err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("fill ran %d times, want 1: the shared entry was refetched", calls.Load())
+	}
+	got, _ := os.ReadFile(path)
+	if string(got) != "shared" {
+		t.Fatalf("content %q, want the shared entry", got)
+	}
+	if hits, misses, _ := second.Stats(); hits != 1 || misses != 0 {
+		t.Fatalf("second cache stats hits=%d misses=%d, want 1/0", hits, misses)
+	}
+	if second.SizeBytes() != int64(len("shared")) {
+		t.Fatalf("adopted entry not indexed: size %d", second.SizeBytes())
+	}
+
+	// A tampered shared entry is not adopted: the fetch falls through.
+	key2 := CacheKey{ArchiveURL: "u", Token: "t", Name: "h.hdf"}
+	if _, _, err := first.Fetch(context.Background(), key2, d1, cacheFill(t, d1, key2.Name, "good", &calls)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key2.hash()+".granule"), []byte("evil"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := second.Fetch(context.Background(), key2, d2, cacheFill(t, d2, key2.Name, "good", &calls)); err != nil || hit {
+		t.Fatalf("tampered shared entry: hit=%v err=%v, want a refetch", hit, err)
+	}
+}
+
 func TestResultCacheMemoizesAndEvicts(t *testing.T) {
 	rc := NewResultCache(2)
 	if _, ok := rc.Get("a"); ok {

@@ -13,11 +13,10 @@ import (
 	"github.com/eoml/eoml/internal/aicca"
 	"github.com/eoml/eoml/internal/flows"
 	"github.com/eoml/eoml/internal/metrics"
-	"github.com/eoml/eoml/internal/watch"
 )
 
 // flowDefinition is the Globus-Flows-style definition of stages 3–4:
-// label the watched file, then move it to the shipment outbox.
+// label the submitted file, then move it to the shipment outbox.
 const flowDefinition = `{
   "Comment": "EO-ML inference flow: label tiles, stage for shipment",
   "StartAt": "Infer",
@@ -50,12 +49,6 @@ type InferenceConfig struct {
 	// Precision, when non-empty, overrides the labeler's encode
 	// arithmetic for batches flushed through this service.
 	Precision aicca.Precision
-	// WatchDir is the directory the monitor crawls for tile files.
-	WatchDir string
-	// Pattern filters watched file names; default "*.nc".
-	Pattern string
-	// PollInterval is the crawler scan period.
-	PollInterval time.Duration
 	// Workers bounds the inference worker pool; default 1.
 	Workers int
 	// OutboxDir receives labeled files staged for shipment.
@@ -73,9 +66,6 @@ type InferenceConfig struct {
 }
 
 func (c InferenceConfig) withDefaults() InferenceConfig {
-	if c.Pattern == "" {
-		c.Pattern = "*.nc"
-	}
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
@@ -86,32 +76,33 @@ func (c InferenceConfig) withDefaults() InferenceConfig {
 }
 
 // InferenceService is the monitor & trigger + inference machinery of
-// the workflow as one reusable stage: a filesystem crawler feeding a
-// bounded worker pool that runs the label-and-move flow through a
-// cross-file encode batcher. Both the batch and the streaming driver
-// compose this same service.
+// the workflow as one reusable stage: upstream preprocessing pushes each
+// tile file it wrote with Submit, and a bounded worker pool runs the
+// label-and-move flow on it through a cross-file encode batcher. Both
+// the batch and the streaming driver compose this same service. Only
+// submitted files are labeled; anything else in the tile directory is
+// left alone.
 //
-// Lifecycle: Setup builds the batcher, flow engine, and crawler and
-// arms the background goroutines (so labeling overlaps preprocessing);
-// ExpectFiles tells the service how many tile files upstream produced;
-// Run blocks until that many flows completed (successfully or not) and
-// returns the join of all flow errors; Drain retires the crawler, pool,
-// and batcher gracefully; Close is the idempotent forced variant for
-// error paths.
+// Lifecycle: Setup builds the batcher and flow engine and arms the
+// worker pool (so labeling overlaps preprocessing); Submit hands over
+// one tile file; ExpectFiles tells the service how many tile files
+// upstream submitted; Run blocks until that many flows completed
+// (successfully or not) and returns the join of all flow errors; Drain
+// retires the pool and batcher gracefully; Close is the idempotent
+// forced variant for error paths.
 type InferenceService struct {
 	cfg InferenceConfig
 
-	batcher     *aicca.BatchLabeler
-	engine      *flows.Engine
-	def         *flows.Definition
-	crawler     *watch.Crawler
-	events      chan watch.Event
-	progress    chan struct{}
-	stopCrawler context.CancelFunc
-	crawlerDone chan struct{}
-	poolWG      sync.WaitGroup
-	armed       bool
-	stopOnce    sync.Once
+	batcher  *aicca.BatchLabeler
+	engine   *flows.Engine
+	def      *flows.Definition
+	files    chan string
+	progress chan struct{}
+	// stop closes at shutdown: the pool exits and Submit stops waiting.
+	stop     chan struct{}
+	poolWG   sync.WaitGroup
+	armed    bool
+	stopOnce sync.Once
 
 	health       *metrics.Health
 	monitorIn    *metrics.Counter
@@ -138,13 +129,13 @@ func NewInferenceService(cfg InferenceConfig) *InferenceService {
 // Name implements Stage.
 func (s *InferenceService) Name() string { return "inference" }
 
-// Setup builds the machinery and arms the crawler and worker pool.
+// Setup builds the machinery and arms the worker pool.
 func (s *InferenceService) Setup(ctx context.Context, rc *RunContext) error {
 	// Register the monitor & trigger and inference series eagerly, and
 	// arm the inference stall clock with the same budget Run's abort
 	// timer uses, so /healthz flips stalled around the time Run gives
-	// up. The monitor stage is the crawler inside this service — it has
-	// no orchestrator slot, so its series are owned here.
+	// up. The monitor stage is the Submit hand-off into this service —
+	// it has no orchestrator slot, so its series are owned here.
 	s.health = rc.Health
 	s.monitorIn = rc.EventCounter("monitor", EventIn)
 	s.monitorOut = rc.EventCounter("monitor", EventOut)
@@ -153,7 +144,7 @@ func (s *InferenceService) Setup(ctx context.Context, rc *RunContext) error {
 	s.flowFailures = rc.Metrics.Counter("eoml_inference_flow_failures_total",
 		"Label-and-move flows that returned an error.")
 	s.tilesCtr = rc.Metrics.Counter("eoml_inference_tiles_labeled_total",
-		"Tiles labeled across all watched files.")
+		"Tiles labeled across all submitted files.")
 	rc.Metrics.GaugeFunc("eoml_inference_files_expected",
 		"Tile files upstream says to expect (0 until the expectation is set).",
 		func() float64 { return float64(s.Expected()) })
@@ -186,82 +177,84 @@ func (s *InferenceService) Setup(ctx context.Context, rc *RunContext) error {
 		return err
 	}
 	s.def = def
-	s.crawler, err = watch.NewCrawler(watch.Config{
-		Dir:      s.cfg.WatchDir,
-		Pattern:  s.cfg.Pattern,
-		Interval: s.cfg.PollInterval,
-	})
-	if err != nil {
-		return err
-	}
 
-	s.events = make(chan watch.Event, 4*s.cfg.Workers+64)
+	s.files = make(chan string)
 	s.progress = make(chan struct{}, 1)
-	s.crawlerDone = make(chan struct{})
-	crawlCtx, stop := context.WithCancel(ctx)
-	s.stopCrawler = stop
-
+	s.stop = make(chan struct{})
 	for w := 0; w < s.cfg.Workers; w++ {
 		s.poolWG.Add(1)
 		go s.worker(ctx, rc)
 	}
-	go func() {
-		defer close(s.crawlerDone)
-		_ = s.crawler.Run(crawlCtx, func(evs []watch.Event) error {
-			for _, ev := range evs {
-				s.monitorIn.Inc()
-				s.health.Beat("monitor")
-				// Enqueue must never block past cancellation: after the
-				// pool exits (cancelled run), nothing drains events, so a
-				// bare send could wedge the crawler goroutine forever.
-				select {
-				case s.events <- ev:
-					s.monitorOut.Inc()
-				case <-crawlCtx.Done():
-					return crawlCtx.Err()
-				}
-			}
-			return nil
-		})
-	}()
 	s.armed = true
 	return nil
 }
 
-// worker labels and moves watched files until the event channel closes.
+// Submit hands one tile file to the label-and-move pool: the monitor &
+// trigger step, pushed by the preprocess task that wrote the file. Call
+// it between Setup and Drain. It waits until a pool worker takes the
+// file, and returns an error instead once ctx is done or the service
+// has shut down; a nil return means the file's flow has started.
+func (s *InferenceService) Submit(ctx context.Context, path string) error {
+	s.monitorIn.Inc()
+	s.health.Beat("monitor")
+	select {
+	case s.files <- path:
+		s.monitorOut.Inc()
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.stop:
+		return fmt.Errorf("stage: inference service shut down before %s was submitted", filepath.Base(path))
+	}
+}
+
+// worker labels and moves submitted files until shutdown or
+// cancellation.
 func (s *InferenceService) worker(ctx context.Context, rc *RunContext) {
 	defer s.poolWG.Done()
-	//eomlvet:ignore ctxsend bounded drain: shutdown() closes events only after the crawler (sole sender) has exited, so the range always terminates
-	for ev := range s.events {
-		s.flowIn.Inc()
-		run, err := s.engine.Start(ctx, s.def, map[string]any{
-			"file":   ev.Path,
-			"outbox": s.cfg.OutboxDir,
-		})
-		var out map[string]any
-		if err == nil {
-			out, err = run.Wait(ctx)
+	for {
+		var path string
+		select {
+		case path = <-s.files:
+		case <-s.stop:
+			return
+		case <-ctx.Done():
+			return
 		}
-		s.mu.Lock()
-		s.completed++
-		if err != nil {
-			s.flowErrs = append(s.flowErrs, fmt.Errorf("flow %s: %w", filepath.Base(ev.Path), err))
-			s.flowFailures.Inc()
-		} else {
-			s.filesLabeled++
-			if n, ok := out["labeled"].(int); ok {
-				s.tilesLabeled += n
-				s.tilesCtr.Add(int64(n))
-			}
-			rc.Timeline.Record("inference", rc.Since(), s.filesLabeled)
-			s.flowOut.Inc()
-		}
-		s.mu.Unlock()
-		// Every completed flow — failed or not — is liveness: the stall
-		// clock tracks progress, not success.
-		s.health.Beat(s.Name())
-		s.bump()
+		s.flow(ctx, rc, path)
 	}
+}
+
+// flow runs the label-and-move flow on one file and records its outcome.
+func (s *InferenceService) flow(ctx context.Context, rc *RunContext, path string) {
+	s.flowIn.Inc()
+	run, err := s.engine.Start(ctx, s.def, map[string]any{
+		"file":   path,
+		"outbox": s.cfg.OutboxDir,
+	})
+	var out map[string]any
+	if err == nil {
+		out, err = run.Wait(ctx)
+	}
+	s.mu.Lock()
+	s.completed++
+	if err != nil {
+		s.flowErrs = append(s.flowErrs, fmt.Errorf("flow %s: %w", filepath.Base(path), err))
+		s.flowFailures.Inc()
+	} else {
+		s.filesLabeled++
+		if n, ok := out["labeled"].(int); ok {
+			s.tilesLabeled += n
+			s.tilesCtr.Add(int64(n))
+		}
+		rc.Timeline.Record("inference", rc.Since(), s.filesLabeled)
+		s.flowOut.Inc()
+	}
+	s.mu.Unlock()
+	// Every completed flow — failed or not — is liveness: the stall
+	// clock tracks progress, not success.
+	s.health.Beat(s.Name())
+	s.bump()
 }
 
 // bump nudges the progress channel so Run re-checks its condition.
@@ -272,7 +265,7 @@ func (s *InferenceService) bump() {
 	}
 }
 
-// ExpectFiles tells the service how many tile files upstream produced;
+// ExpectFiles tells the service how many tile files upstream submitted;
 // Run returns once that many flows have completed. Safe to call while
 // Run is already waiting.
 func (s *InferenceService) ExpectFiles(n int) {
@@ -311,7 +304,7 @@ func (s *InferenceService) Run(ctx context.Context, rc *RunContext) error {
 	return errors.Join(s.flowErrs...)
 }
 
-// Drain gracefully retires the crawler, worker pool, and batcher.
+// Drain gracefully retires the worker pool and batcher.
 func (s *InferenceService) Drain(ctx context.Context, rc *RunContext) error {
 	s.shutdown()
 	return nil
@@ -327,22 +320,18 @@ func (s *InferenceService) Close() error {
 	return nil
 }
 
-// shutdown stops the crawler, joins the pool, and closes the batcher,
-// exactly once. Ordering matters: the crawler must have exited before
-// events is closed, and the pool must have exited before the batcher
-// (workers mid-flow still need it) is flushed and closed.
+// shutdown stops the pool and closes the batcher, exactly once. The
+// pool must have exited before the batcher (workers mid-flow still need
+// it) is flushed and closed.
 func (s *InferenceService) shutdown() {
 	s.stopOnce.Do(func() {
-		s.stopCrawler()
-		//eomlvet:ignore ctxsend bounded join: stopCrawler cancels the crawler context, and the crawler closes crawlerDone on exit unconditionally
-		<-s.crawlerDone
-		close(s.events)
+		close(s.stop)
 		s.poolWG.Wait()
 		s.batcher.Close()
 	})
 }
 
-// FilesLabeled reports how many watched files were labeled and moved.
+// FilesLabeled reports how many submitted files were labeled and moved.
 func (s *InferenceService) FilesLabeled() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

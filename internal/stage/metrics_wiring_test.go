@@ -85,8 +85,6 @@ func TestStageFailureCountsAndMarksUnhealthy(t *testing.T) {
 // longer than its stall budget, the run aborts and /healthz reports 503.
 func TestInferenceStallFlipsHealthz(t *testing.T) {
 	svc := NewInferenceService(InferenceConfig{
-		WatchDir:     t.TempDir(),
-		PollInterval: 5 * time.Millisecond,
 		OutboxDir:    t.TempDir(),
 		StallTimeout: 30 * time.Millisecond,
 	})

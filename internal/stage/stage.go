@@ -6,6 +6,9 @@
 // internal/core are thin drivers that pick a stage order; everything
 // they share — run directories, the telemetry epoch, timelines and
 // spans, error aggregation, cancellation semantics — lives here once.
+// Monitor & trigger lives inside InferenceService as a push, not a
+// crawler: the driver's preprocess step hands each tile file it wrote
+// to InferenceService.Submit, so only the run's own files are labeled.
 //
 // Lifecycle. Each stage moves through up to four phases:
 //
@@ -13,16 +16,17 @@
 //
 //	  - Setup (optional) runs for every stage, in listed order, before any
 //	    stage's Run. Long-lived services arm their background machinery
-//	    here (e.g. the inference crawler starts watching before the first
-//	    tile file exists), which is what lets inference overlap
-//	    preprocessing exactly as in the paper's Fig. 6.
+//	    here (e.g. the inference worker pool is ready before the first
+//	    tile file exists, and preprocess pushes each file in as it is
+//	    written), which is what lets inference overlap preprocessing
+//	    exactly as in the paper's Fig. 6.
 //	  - Run executes in listed order and is the stage's synchronous turn:
 //	    a download stage fans out and blocks, a service stage blocks until
 //	    its completion condition holds. The first Run error aborts the
 //	    remaining runs and the drain phase.
 //	  - Drain (optional) runs in listed order after every Run succeeded;
-//	    it gracefully retires background work (stop the crawler, join the
-//	    worker pool, flush the batcher).
+//	    it gracefully retires background work (join the worker pool,
+//	    flush the batcher).
 //	  - Close (optional) always runs, in reverse order, for every stage
 //	    whose Setup succeeded — including on error and cancellation paths,
 //	    so a failed run never leaks goroutines. Close must be idempotent.

@@ -145,24 +145,35 @@ func TestFuncStage(t *testing.T) {
 	}
 }
 
-// newIdleService builds a service over an empty watch dir. A nil
-// labeler is fine as long as no well-formed tile file is ever watched:
+// newIdleService builds a service with no labeler. A nil labeler is
+// fine as long as no well-formed tile file is ever submitted:
 // unparsable files fail in ReadNetCDF before the labeler is touched.
-func newIdleService(t *testing.T, dir string) *InferenceService {
+func newIdleService(t *testing.T) *InferenceService {
 	t.Helper()
 	return NewInferenceService(InferenceConfig{
-		WatchDir:     dir,
-		PollInterval: 5 * time.Millisecond,
 		Workers:      2,
 		OutboxDir:    t.TempDir(),
 		StallTimeout: 5 * time.Second,
 	})
 }
 
+// submitter is the upstream stage a driver puts before the service: it
+// submits each path and then publishes the expectation.
+func submitter(svc *InferenceService, paths ...string) Stage {
+	return Func("preprocess", func(ctx context.Context, rc *RunContext) error {
+		for _, p := range paths {
+			if err := svc.Submit(ctx, p); err != nil {
+				return err
+			}
+		}
+		svc.ExpectFiles(len(paths))
+		return nil
+	})
+}
+
 func TestInferenceServiceZeroExpectation(t *testing.T) {
-	svc := newIdleService(t, t.TempDir())
-	svc.ExpectFiles(0)
-	if err := NewOrchestrator(nil).Execute(context.Background(), svc); err != nil {
+	svc := newIdleService(t)
+	if err := NewOrchestrator(nil).Execute(context.Background(), submitter(svc), svc); err != nil {
 		t.Fatal(err)
 	}
 	if svc.FilesLabeled() != 0 || svc.FlowsFailed() != 0 {
@@ -174,14 +185,17 @@ func TestInferenceServiceJoinsAllFlowErrors(t *testing.T) {
 	dir := t.TempDir()
 	// Two unparsable tile files: both flows must fail, and BOTH errors
 	// must surface in the joined error (not just the first).
+	var paths []string
 	for _, name := range []string{"bad1.nc", "bad2.nc"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("not netcdf"), 0o644); err != nil {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("not netcdf"), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		paths = append(paths, path)
 	}
-	svc := newIdleService(t, dir)
-	svc.ExpectFiles(2)
-	err := NewOrchestrator(nil).Execute(context.Background(), svc)
+	svc := newIdleService(t)
+	rc, _, _ := instrumentedRC()
+	err := NewOrchestrator(rc).Execute(context.Background(), submitter(svc, paths...), svc)
 	if err == nil {
 		t.Fatal("bad tile files produced no error")
 	}
@@ -193,10 +207,29 @@ func TestInferenceServiceJoinsAllFlowErrors(t *testing.T) {
 			t.Errorf("joined error omits %s: %v", name, err)
 		}
 	}
+	// The monitor stage counts submitted files in both directions.
+	for _, dir := range []string{EventIn, EventOut} {
+		if v := rc.EventCounter("monitor", dir).Value(); v != 2 {
+			t.Errorf("monitor %s events = %v, want 2", dir, v)
+		}
+	}
+}
+
+// TestInferenceServiceSubmitAfterShutdown: Submit to a service that has
+// shut down fails at once instead of blocking.
+func TestInferenceServiceSubmitAfterShutdown(t *testing.T) {
+	svc := NewInferenceService(InferenceConfig{Workers: 1, OutboxDir: t.TempDir()})
+	if err := svc.Setup(context.Background(), &RunContext{}); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if err := svc.Submit(context.Background(), "late.nc"); err == nil || !contains(err.Error(), "late.nc") {
+		t.Fatalf("Submit after Close = %v, want an error naming the file", err)
+	}
 }
 
 func TestInferenceServiceCancelledWhileWaiting(t *testing.T) {
-	svc := newIdleService(t, t.TempDir())
+	svc := newIdleService(t)
 	// Expectation never satisfied: one file promised, none produced.
 	svc.ExpectFiles(1)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -218,8 +251,6 @@ func TestInferenceServiceCancelledWhileWaiting(t *testing.T) {
 
 func TestInferenceServiceStallTimeout(t *testing.T) {
 	svc := NewInferenceService(InferenceConfig{
-		WatchDir:     t.TempDir(),
-		PollInterval: 5 * time.Millisecond,
 		OutboxDir:    t.TempDir(),
 		StallTimeout: 30 * time.Millisecond,
 	})

@@ -1,16 +1,21 @@
-// Package watch implements the filesystem crawler behind the workflow's
-// Monitor & Trigger stage: a poll-based scanner that detects newly
-// created files once they are stable (size unchanged across two scans)
-// and hands them to a trigger callback exactly once.
+// Package watch implements a filesystem crawler for the paper's
+// Monitor & Trigger stage (§III) on files written by other processes: a
+// poll-based scanner that reports newly created files once they are
+// stable (size unchanged across two scans), each exactly once.
+//
+// The pipeline itself does not crawl: its preprocess tasks hand each
+// tile file they write straight to the inference service. The crawler is
+// for a producer outside the run, which can only announce a file by
+// writing it.
 //
 // Stability detection matters because the paper notes HDF read errors
-// from partially written files; the crawler never triggers on a file that
-// is still growing, and writers in this repository additionally use
-// temp-file + rename so a scan can't even see partial granules.
+// from partially written files; the crawler never reports a file that
+// is still growing, and in-flight names (".part", ".tmp", ...) are
+// skipped, so writers that use temp-file + rename are never seen
+// half-written.
 package watch
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,7 +31,9 @@ type Config struct {
 	Dir string
 	// Pattern filters file names with filepath.Match; empty matches all.
 	Pattern string
-	// Interval is the poll period.
+	// Interval is the period at which the caller runs ScanOnce; the
+	// crawler itself does not read it. The two-scan stability rule means
+	// a file is reported one to two intervals after it stops growing.
 	Interval time.Duration
 	// IgnoreSuffixes skips in-flight files (".part", ".tmp", ...).
 	IgnoreSuffixes []string
@@ -35,9 +42,6 @@ type Config struct {
 func (c *Config) fillDefaults() error {
 	if c.Dir == "" {
 		return fmt.Errorf("watch: no directory")
-	}
-	if c.Interval <= 0 {
-		c.Interval = 50 * time.Millisecond
 	}
 	if c.IgnoreSuffixes == nil {
 		c.IgnoreSuffixes = []string{".part", ".tmp", ".transferring"}
@@ -58,7 +62,6 @@ type Crawler struct {
 	mu        sync.Mutex
 	lastSize  map[string]int64
 	triggered map[string]bool
-	scans     int
 }
 
 // NewCrawler builds a crawler.
@@ -71,13 +74,6 @@ func NewCrawler(cfg Config) (*Crawler, error) {
 		lastSize:  map[string]int64{},
 		triggered: map[string]bool{},
 	}, nil
-}
-
-// Scans reports how many scans have run.
-func (c *Crawler) Scans() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.scans
 }
 
 // ScanOnce walks the tree and returns files that are new since the
@@ -124,7 +120,6 @@ func (c *Crawler) ScanOnce() ([]Event, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.scans++
 	var events []Event
 	for _, f := range found {
 		if c.triggered[f.path] {
@@ -139,59 +134,4 @@ func (c *Crawler) ScanOnce() ([]Event, error) {
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].Path < events[j].Path })
 	return events, nil
-}
-
-// Run polls until ctx is cancelled, invoking trigger for every batch of
-// newly stable files. Trigger errors stop the crawler and are returned.
-func (c *Crawler) Run(ctx context.Context, trigger func(events []Event) error) error {
-	ticker := time.NewTicker(c.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-			events, err := c.ScanOnce()
-			if err != nil {
-				return err
-			}
-			if len(events) > 0 {
-				if err := trigger(events); err != nil {
-					return err
-				}
-			}
-		}
-	}
-}
-
-// DrainUntilIdle polls until idleScans consecutive scans produce no new
-// events (or ctx is cancelled), collecting everything triggered. It is
-// the synchronous variant used when downloads are known to be finished.
-func (c *Crawler) DrainUntilIdle(ctx context.Context, idleScans int) ([]Event, error) {
-	if idleScans <= 0 {
-		idleScans = 2
-	}
-	var all []Event
-	idle := 0
-	for idle < idleScans {
-		if ctx.Err() != nil {
-			return all, ctx.Err()
-		}
-		events, err := c.ScanOnce()
-		if err != nil {
-			return all, err
-		}
-		if len(events) == 0 {
-			idle++
-		} else {
-			idle = 0
-			all = append(all, events...)
-		}
-		select {
-		case <-ctx.Done():
-			return all, ctx.Err()
-		case <-time.After(c.cfg.Interval):
-		}
-	}
-	return all, nil
 }

@@ -1,12 +1,9 @@
 package watch
 
 import (
-	"context"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 )
 
 func write(t *testing.T, dir, name string, size int) string {
@@ -96,59 +93,6 @@ func TestRecursiveScan(t *testing.T) {
 	ev, _ := c.ScanOnce()
 	if len(ev) != 1 {
 		t.Fatalf("nested file not found: %v", ev)
-	}
-}
-
-func TestRunTriggersCallback(t *testing.T) {
-	dir := t.TempDir()
-	c, _ := NewCrawler(Config{Dir: dir, Interval: 5 * time.Millisecond})
-	var mu sync.Mutex
-	var got []string
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- c.Run(ctx, func(events []Event) error {
-			mu.Lock()
-			for _, e := range events {
-				got = append(got, filepath.Base(e.Path))
-			}
-			n := len(got)
-			mu.Unlock()
-			if n >= 2 {
-				cancel()
-			}
-			return nil
-		})
-	}()
-	write(t, dir, "one.nc", 1)
-	time.Sleep(20 * time.Millisecond)
-	write(t, dir, "two.nc", 2)
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("run err = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("crawler never saw both files")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("triggered %v", got)
-	}
-}
-
-func TestDrainUntilIdle(t *testing.T) {
-	dir := t.TempDir()
-	c, _ := NewCrawler(Config{Dir: dir, Interval: time.Millisecond})
-	write(t, dir, "a.nc", 1)
-	write(t, dir, "b.nc", 2)
-	events, err := c.DrainUntilIdle(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("drained %v", events)
 	}
 }
 
