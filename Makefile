@@ -1,9 +1,10 @@
 # Standard entry points for the eoml repo.
 #
 #   make check      — what CI runs: gofmt gate + vet + eomlvet + race tests
-#                     + fuzz-smoke + serve-smoke + fleet-smoke +
-#                     reduced-size bench smokes (bench-ci, bench-e2e) +
-#                     bench-diff + perfbench-test
+#                     + cross-architecture build/tests + fuzz-smoke +
+#                     serve-smoke + fleet-smoke + reduced-size bench
+#                     smokes (bench-ci, bench-e2e) + bench-diff +
+#                     perfbench-test
 #   make lint       — the repo's own analyzer suite (cmd/eomlvet)
 #   make bench      — the hot-path benchmarks, emitted as $(BENCH_OUT)
 #   make bench-diff — gate the committed bench records: fails on >10%
@@ -22,7 +23,7 @@ BENCH_PAT := BenchmarkMatMulBlocked|BenchmarkMatMulSmall|BenchmarkEncodeArena|Be
 
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race fmt fuzz-smoke bench bench-ci bench-diff bench-all bench-e2e serve-smoke fleet-smoke perfbench-test check
+.PHONY: build test vet lint race cross fmt fuzz-smoke bench bench-ci bench-diff bench-all bench-e2e serve-smoke fleet-smoke perfbench-test check
 
 build:
 	$(GO) build ./...
@@ -50,6 +51,14 @@ lint:
 
 race:
 	$(GO) test -race ./...
+
+# Cross-architecture gate for the assembly kernels: everything must
+# build on arm64, where no assembly exists, and the kernel packages'
+# tests must pass on 386, which runs the !amd64 scalar fallbacks
+# natively on an amd64 host.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) test ./internal/tensor ./internal/nn ./internal/ricc
 
 # Short fuzzing pass over the two parsers that consume untrusted bytes:
 # the yamlite config parser and the HDF granule decoder. $(FUZZTIME) per
@@ -116,4 +125,4 @@ perfbench-test:
 bench-all:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-check: fmt vet lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-diff perfbench-test
+check: fmt vet lint race cross fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-diff perfbench-test

@@ -540,16 +540,22 @@ func BenchmarkEncodeQ8(b *testing.B) {
 	b.Run("int8", func(b *testing.B) { run(b, m.EncodeBatchQ8) })
 }
 
-// BenchmarkMatMulSmall covers the GEMM shapes the work-aware parallel
+// BenchmarkMatMulSmall covers the skinny GEMM shapes of the RICC
+// encoder. The first three are the shapes the work-aware parallel
 // cutoff exists for: per-tile conv matmuls too small to amortize a
 // goroutine handoff. Before the flops-based cutoff these forked on row
-// count alone and lost the win to scheduling overhead.
+// count alone and lost the win to scheduling overhead. The last three
+// are the encoder's GEMMs on a 50-tile batch of 32 px tiles, the shapes
+// the 4×16 register microkernel is sized for.
 func BenchmarkMatMulSmall(b *testing.B) {
 	r := rand.New(rand.NewSource(12))
 	for _, s := range []struct{ m, k, n int }{
-		{16, 54, 16},   // conv1 of a 4 px tile batch
-		{64, 144, 32},  // conv2 of a small batch
-		{32, 512, 512}, // skinny dense slab
+		{16, 54, 16},    // conv1 of a 4 px tile batch
+		{64, 144, 32},   // conv2 of a small batch
+		{32, 512, 512},  // skinny dense slab
+		{12800, 54, 16}, // conv1 of a 50-tile batch
+		{3200, 144, 32}, // conv2 of a 50-tile batch
+		{50, 2048, 32},  // latent dense of a 50-tile batch
 	} {
 		a := tensor.New(s.m, s.k)
 		a.Randn(r, 1)

@@ -20,6 +20,12 @@
 //	  per dataset: name (u16 len + bytes), dtype u8, rank u8,
 //	               dims []uint32, nbytes uint64, raw values
 //	crc32   uint32   IEEE CRC of all preceding bytes
+//
+// Decoding is zero-copy: the datasets of a File returned by Decode keep
+// references into the decoded byte slice (Raw returns them), which the
+// caller must therefore leave untouched while the File is in use. Read
+// and ReadFile own the buffer they decode, so their Files are
+// independent of anything the caller holds.
 package hdf
 
 import (
@@ -429,7 +435,10 @@ func Read(r io.Reader) (*File, error) {
 	return Decode(data)
 }
 
-// Decode decodes an HDF-lite byte slice, verifying magic and CRC.
+// Decode decodes an HDF-lite byte slice, verifying magic and CRC. It
+// does not copy dataset payloads: each returned Dataset's Raw aliases
+// data, so the caller must not modify or reuse data while the File is in
+// use. Read and ReadFile decode buffers they own.
 func Decode(data []byte) (*File, error) {
 	if len(data) < len(Magic)+4 {
 		return nil, fmt.Errorf("hdf: truncated stream (%d bytes)", len(data))
@@ -524,7 +533,9 @@ func Decode(data []byte) (*File, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds := &Dataset{Name: name, DType: dtype, Dims: dims, raw: append([]byte(nil), raw...)}
+		// Alias the input rather than copy it; the cap stops an append
+		// to one dataset's raw from overwriting the next dataset.
+		ds := &Dataset{Name: name, DType: dtype, Dims: dims, raw: raw[:len(raw):len(raw)]}
 		if err := f.Add(ds); err != nil {
 			return nil, err
 		}

@@ -97,6 +97,45 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeAliasesInput pins the zero-copy contract: every decoded
+// dataset's Raw points into the input, and is capped so an append to it
+// reallocates instead of overwriting the bytes that follow.
+func TestDecodeAliasesInput(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, buildSample(t)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	orig := bytes.Clone(data)
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range got.Datasets() {
+		raw := d.Raw()
+		if !pointsInto(raw, data) {
+			t.Fatalf("dataset %q: Raw is a copy, not a view of the input", d.Name)
+		}
+		if cap(raw) != len(raw) {
+			t.Fatalf("dataset %q: cap %d > len %d", d.Name, cap(raw), len(raw))
+		}
+		_ = append(raw, 0xAA, 0xBB, 0xCC, 0xDD)
+	}
+	if !bytes.Equal(data, orig) {
+		t.Fatal("appending to a decoded dataset modified the input")
+	}
+}
+
+// pointsInto reports whether sub's first byte is an element of buf.
+func pointsInto(sub, buf []byte) bool {
+	for i := range buf {
+		if &buf[i] == &sub[0] {
+			return true
+		}
+	}
+	return false
+}
+
 func TestCRCDetectsCorruption(t *testing.T) {
 	f := buildSample(t)
 	var buf bytes.Buffer

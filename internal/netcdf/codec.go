@@ -46,7 +46,7 @@ func Encode(f *File) ([]byte, error) {
 	for i, v := range f.vars {
 		offsets[i] = uint32(pos)
 		pos += pad4(len(v.data))
-		if pos < 0 || pos > math.MaxUint32 {
+		if pos < 0 || int64(pos) > math.MaxUint32 {
 			return nil, fmt.Errorf("netcdf: file exceeds CDF-1 2 GiB offset limit")
 		}
 	}

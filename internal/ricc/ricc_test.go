@@ -1,10 +1,12 @@
 package ricc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/eoml/eoml/internal/tile"
@@ -254,6 +256,55 @@ func TestCodebookRoundTripAndAssign(t *testing.T) {
 	}
 	if !reflect.DeepEqual(labels, labels2) {
 		t.Fatal("loaded codebook assigns differently")
+	}
+}
+
+// TestLoadRejectsNonFinite poisons one value of each kind of dataset a
+// model or codebook file holds; loading must fail and name the dataset.
+func TestLoadRejectsNonFinite(t *testing.T) {
+	cfg := smallConfig()
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	newModel := func() *Model {
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Norm = &Normalizer{Min: make([]float32, cfg.Channels), Max: make([]float32, cfg.Channels)}
+		for i := range m.Norm.Max {
+			m.Norm.Max[i] = 1
+		}
+		return m
+	}
+	params := newModel().Params()
+	last := len(params) - 1
+	for _, tc := range []struct {
+		name   string
+		poison func(m *Model)
+	}{
+		{params[0].Name, func(m *Model) { m.Params()[0].W.Data[1] = nan }},
+		{params[last].Name, func(m *Model) { m.Params()[last].W.Data[0] = -inf }},
+		{"norm.min", func(m *Model) { m.Norm.Min[0] = nan }},
+		{"norm.max", func(m *Model) { m.Norm.Max[cfg.Channels-1] = inf }},
+	} {
+		m := newModel()
+		tc.poison(m)
+		path := filepath.Join(t.TempDir(), "model.hdf")
+		if err := m.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.name)) {
+			t.Fatalf("poisoned %s: Load error = %v, want one naming it", tc.name, err)
+		}
+	}
+
+	cb := &Codebook{Centroids: [][]float32{{1, 2}, {3, float32(math.Inf(-1))}}}
+	path := filepath.Join(t.TempDir(), "codebook.hdf")
+	if err := cb.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCodebook(path); err == nil || !strings.Contains(err.Error(), `"centroids"`) {
+		t.Fatalf("poisoned codebook: LoadCodebook error = %v, want one naming centroids", err)
 	}
 }
 

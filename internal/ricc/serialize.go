@@ -2,6 +2,7 @@ package ricc
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/eoml/eoml/internal/cluster42"
 	"github.com/eoml/eoml/internal/hdf"
@@ -81,14 +82,15 @@ func Load(path string) (*Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals, err := d.Float32s()
-		if err != nil {
+		if d.Len() != p.W.Len() {
+			return nil, fmt.Errorf("ricc: parameter %q has %d values, want %d", p.Name, d.Len(), p.W.Len())
+		}
+		if err := d.Float32sInto(p.W.Data); err != nil {
 			return nil, err
 		}
-		if len(vals) != p.W.Len() {
-			return nil, fmt.Errorf("ricc: parameter %q has %d values, want %d", p.Name, len(vals), p.W.Len())
+		if err := checkFinite(path, p.Name, p.W.Data); err != nil {
+			return nil, err
 		}
-		copy(p.W.Data, vals)
 	}
 	norm := &Normalizer{}
 	for _, part := range []struct {
@@ -103,10 +105,27 @@ func Load(path string) (*Model, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := checkFinite(path, part.name, vals); err != nil {
+			return nil, err
+		}
 		*part.dst = vals
 	}
 	m.Norm = norm
 	return m, nil
+}
+
+// checkFinite rejects a NaN or ±Inf in a loaded dataset. A non-finite
+// weight or centroid would silently poison every label, and the GEMM
+// kernels' bit-identity between the register microkernel and the axpy
+// loop assumes finite weights (see internal/tensor/blocked.go).
+func checkFinite(path, name string, vals []float32) error {
+	const expMask = 0x7f800000 // all-ones exponent: ±Inf or NaN
+	for i, v := range vals {
+		if math.Float32bits(v)&expMask == expMask {
+			return fmt.Errorf("ricc: %s: dataset %q: element %d is %v, want finite", path, name, i, v)
+		}
+	}
+	return nil
 }
 
 // Codebook is the fixed set of AICCA cluster centroids produced by the
@@ -174,6 +193,9 @@ func LoadCodebook(path string) (*Codebook, error) {
 	}
 	flat, err := d.Float32s()
 	if err != nil {
+		return nil, err
+	}
+	if err := checkFinite(path, "centroids", flat); err != nil {
 		return nil, err
 	}
 	k, dim := d.Dims[0], d.Dims[1]

@@ -3,33 +3,59 @@
 //
 // The decomposition:
 //
-//   - C rows are processed in blocks of 4 (mrTile). Within a block the
-//     kernel walks k once; each B row is pulled into L1 by the first
-//     axpy and reused by the next three, quartering B traffic compared
-//     to the naive row-at-a-time loop.
-//   - The inner update is an 8-wide fused multiply-add over a full C
-//     row (axpy), so the arithmetic runs at SIMD rate instead of the
-//     one-scalar-FMA-per-step the compiler emits for the naive loop.
-//   - Row blocks are distributed across GOMAXPROCS goroutines via
-//     parallelRows, same as the naive kernels.
-//   - MatMulTB is dot-product shaped (both operands contiguous along
-//     k), so it uses the dot primitive directly with no packing.
+//   - C rows are processed in blocks of 4 (mrTile). Row blocks are
+//     distributed across GOMAXPROCS goroutines via parallelWork, same
+//     as the naive kernels.
+//   - With AVX2+FMA, each full 4×16 tile of a full row block is one
+//     call to the gemm4x16AVX register microkernel: the tile's 64 C
+//     elements live in eight YMM accumulators for the whole k walk,
+//     each k step is two B loads, four A broadcasts and eight FMAs, and
+//     C is stored once at the end. The encoder's GEMMs are all skinny
+//     (n = 16 or 32), so this removes the per-FMA reload and re-store of
+//     C and the per-row axpy call.
+//   - Edges take the axpy loop: the last row block when m%4 != 0, the
+//     last n%16 columns of every block, and every block when the vector
+//     kernels are off (no AVX2+FMA, or not amd64). Within a block the
+//     loop walks k once and updates each C row with an 8-wide FMA over
+//     the B row (axpy), skipping exact-zero A entries.
+//   - MatMulTA uses the axpy loop only; MatMulTB is dot-product shaped
+//     (both operands contiguous along k), so it uses the dot primitive
+//     directly with no packing.
 //
-// Summation order over k stays ascending, but the 8-lane FMA
-// accumulators change the association order, so blocked results agree
-// with the MatMul*Naive oracles to float32 rounding (the property tests
-// in blocked_test.go pin this at 1e-5 relative).
+// Both MatMul paths compute every C element as the same ascending-k
+// chain of single-rounding FMAs starting from +0, so the microkernel
+// and the axpy loop agree bit for bit whenever B is finite: the axpy
+// loop skips an exact-zero A entry and the microkernel adds fma(0, b, c),
+// which is c for finite b. The one exception is the sign of a zero: a
+// partial sum can underflow to -0, and -0 + 0·b is +0 for b > 0, while
+// the skip keeps -0. The two compare equal. Model weights, the B operand
+// of every inference GEMM, are checked finite at load. The 8-lane axpy
+// and dot kernels keep k ascending but agree with the MatMul*Naive
+// oracles only to float32 rounding (blocked_test.go pins 1e-5 relative),
+// because the naive loops do not fuse the multiply and the add.
 
 package tensor
 
 import "fmt"
 
-// mrTile is the number of C rows computed per block; sized so the
-// block's C rows and the current B row stay L1-resident.
-const mrTile = 4
+const (
+	// mrTile is the number of C rows computed per block; sized so the
+	// block's C rows and the current B row stay L1-resident.
+	mrTile = 4
+	// nrTile is the microkernel's C tile width: two 8-lane YMM
+	// registers per C row.
+	nrTile = 16
+)
 
 // matMulBlockedInto computes C = A·B into cD, overwriting it.
 func matMulBlockedInto(aD, bD, cD []float32, m, k, n int) {
+	// Columns [0, nTiled) of a full row block go through the 4×16
+	// microkernel; the remaining columns, every column of a short row
+	// block, and an empty (k = 0) product take the axpy loop.
+	nTiled := 0
+	if useSIMD && k > 0 {
+		nTiled = n - n%nrTile
+	}
 	blocks := (m + mrTile - 1) / mrTile
 	parallelWork(blocks, mrTile*k*n, func(lo, hi int) {
 		var c, a [mrTile][]float32
@@ -39,13 +65,22 @@ func matMulBlockedInto(aD, bD, cD []float32, m, k, n int) {
 			if rows > mrTile {
 				rows = mrTile
 			}
+			j0 := 0
+			if rows == mrTile {
+				for ; j0 < nTiled; j0 += nrTile {
+					gemm4x16(aD[i*k:], k, bD[j0:], n, cD[i*n+j0:], n, k)
+				}
+				if j0 == n {
+					continue
+				}
+			}
 			for r := 0; r < rows; r++ {
-				c[r] = cD[(i+r)*n : (i+r+1)*n]
+				c[r] = cD[(i+r)*n+j0 : (i+r+1)*n]
 				a[r] = aD[(i+r)*k : (i+r+1)*k]
 				clear(c[r])
 			}
 			for p := 0; p < k; p++ {
-				br := bD[p*n : (p+1)*n]
+				br := bD[p*n+j0 : (p+1)*n]
 				for r := 0; r < rows; r++ {
 					if av := a[r][p]; av != 0 {
 						axpy(av, br, c[r])
@@ -54,6 +89,17 @@ func matMulBlockedInto(aD, bD, cD []float32, m, k, n int) {
 			}
 		}
 	})
+}
+
+// gemm4x16 runs the 4×16 register microkernel on the tile whose top-left
+// elements are a[0], b[0] and c[0], with row strides lda, ldb and ldc.
+// k must be positive. The assembly does no bounds checks, so every
+// element it addresses is checked here first.
+func gemm4x16(a []float32, lda int, b []float32, ldb int, c []float32, ldc, k int) {
+	_ = a[3*lda+k-1]
+	_ = b[(k-1)*ldb+nrTile-1]
+	_ = c[3*ldc+nrTile-1]
+	gemm4x16AVX(a, lda, b, ldb, c, ldc, k)
 }
 
 // MatMul computes C = A·B for A of shape [m,k] and B of shape [k,n]

@@ -72,6 +72,127 @@ func TestMatMulTBBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestMatMulBlockedMatchesNaiveScalar reruns the blocked-vs-naive
+// property tests with the vector kernels switched off, so the scalar
+// fallback stays covered on hosts that have AVX2+FMA.
+func TestMatMulBlockedMatchesNaiveScalar(t *testing.T) {
+	saved := useSIMD
+	useSIMD = false
+	defer func() { useSIMD = saved }()
+	t.Run("MatMul", TestMatMulBlockedMatchesNaive)
+	t.Run("MatMulTA", TestMatMulTABlockedMatchesNaive)
+	t.Run("MatMulTB", TestMatMulTBBlockedMatchesNaive)
+}
+
+// matMulAxpyRef is the row-block axpy loop the blocked kernel used
+// before the register microkernel: each C row starts at +0 and takes one
+// axpy per nonzero A entry in ascending k.
+func matMulAxpyRef(a, b *T) *T {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	c := New(m, n)
+	for i := 0; i < m; i++ {
+		crow := c.Data[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			if av := a.Data[i*k+p]; av != 0 {
+				axpy(av, b.Data[p*n:(p+1)*n], crow)
+			}
+		}
+	}
+	return c
+}
+
+// TestMatMulMicroKernelBitIdentical pins MatMul and MatMulInto bit for
+// bit against the axpy loop for finite B: the 4×16 microkernel must
+// compute each C element as the same ascending-k FMA chain.
+func TestMatMulMicroKernelBitIdentical(t *testing.T) {
+	shapes := [][3]int{
+		{12800, 54, 16}, // conv1: 50 tiles of 32×32 px, 6 bands × 3×3
+		{3200, 144, 32}, // conv2
+		{50, 2048, 32},  // latent dense
+		{7, 5, 16},      // m%4 != 0
+		{8, 9, 37},      // n%16 != 0
+		{9, 6, 48},      // both edges, several column tiles
+		{12, 5, 7},      // n < 16
+		{9, 1, 33},      // k = 1
+		{4, 16, 16},     // exactly one tile
+	}
+	r := rand.New(rand.NewSource(15))
+	nan := float32(math.NaN())
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		b := randT(r, k, n)
+		for _, fill := range []string{"dense", "zeros+nan"} {
+			a := randT(r, m, k)
+			if fill == "zeros+nan" {
+				for i := range a.Data {
+					switch u := r.Float64(); {
+					case u < 0.3:
+						a.Data[i] = 0
+					case u < 0.4:
+						a.Data[i] = float32(math.Copysign(0, -1))
+					case u < 0.401:
+						a.Data[i] = nan
+					}
+				}
+			}
+			want := matMulAxpyRef(a, b)
+			label := fmt.Sprintf("%v %s", s, fill)
+			sameBits(t, label+" MatMul", MatMul(a, b), want)
+			out := New(m, n)
+			for i := range out.Data {
+				out.Data[i] = nan // dirty: the kernel must overwrite
+			}
+			MatMulInto(a, b, out)
+			sameBits(t, label+" MatMulInto", out, want)
+		}
+	}
+	// k = 0 is not a valid tensor shape, so drive the kernel directly:
+	// the product is all +0, written over a dirty buffer.
+	for _, mn := range [][2]int{{8, 16}, {7, 37}} {
+		m, n := mn[0], mn[1]
+		out := New(m, n)
+		for i := range out.Data {
+			out.Data[i] = nan
+		}
+		matMulBlockedInto(nil, nil, out.Data, m, 0, n)
+		sameBits(t, fmt.Sprintf("k=0 %v", mn), out, New(m, n))
+	}
+}
+
+// TestMatMulMicroKernelSignedZero pins the one documented way the
+// microkernel and the axpy loop differ: a partial sum that underflows to
+// -0 followed by an exact-zero A entry. The axpy loop skips the entry and
+// keeps -0; the microkernel adds 0·b = +0 and gets +0. The values still
+// compare equal.
+func TestMatMulMicroKernelSignedZero(t *testing.T) {
+	a, b := New(4, 2), New(2, nrTile)
+	for r := 0; r < 4; r++ {
+		a.Data[r*2] = -1e-30 // (-1e-30)·(1e-30) underflows to -0
+	}
+	for j := 0; j < nrTile; j++ {
+		b.Data[j] = 1e-30
+		b.Data[nrTile+j] = 1
+	}
+	got, want := MatMul(a, b), matMulAxpyRef(a, b)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] || got.Data[i] != 0 {
+			t.Fatalf("[%d] = %g, want %g (zero)", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+func sameBits(t *testing.T, label string, got, want *T) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v, want %v", label, got.Shape, want.Shape)
+	}
+	for i := range want.Data {
+		if g, w := math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]); g != w {
+			t.Fatalf("%s: [%d] = %g (%#08x), want %g (%#08x)", label, i, got.Data[i], g, want.Data[i], w)
+		}
+	}
+}
+
 func TestMatMulIntoOverwritesDirtyBuffer(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	a := randT(r, 9, 15)

@@ -5,6 +5,10 @@ package tensor
 // assembly versions in simd_amd64.s are used instead; these generic
 // loops are the fallback and the oracle the asm is tested against.
 
+// SIMDEnabled reports whether the vector kernels are active; benchmarks
+// surface it so recorded numbers are interpretable across machines.
+func SIMDEnabled() bool { return useSIMD }
+
 // axpyGeneric computes y[i] += alpha * x[i] over len(x) elements.
 func axpyGeneric(alpha float32, x, y []float32) {
 	y = y[:len(x)]

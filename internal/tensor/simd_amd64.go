@@ -22,6 +22,15 @@ func axpyAVX(alpha float32, x, y []float32)
 //go:noescape
 func dotAVX(x, y []float32) float32
 
+// gemm4x16AVX computes one 4×16 tile C = A·B over k steps, rows of A,
+// B and C at element strides lda, ldb and ldc. Each C element is one
+// ascending-k chain of FMAs from +0, stored once at the end. Caller
+// guarantees a covers 3*lda+k elements, b covers (k-1)*ldb+16 and c
+// covers 3*ldc+16. Implemented in simd_amd64.s.
+//
+//go:noescape
+func gemm4x16AVX(a []float32, lda int, b []float32, ldb int, c []float32, ldc int, k int)
+
 // dotQ8x4AVX computes four int8 dot products of x against the four
 // consecutive length-len(x) rows packed in w (row stride = len(x)),
 // writing exact int32 sums into out: VPMOVSXBW widens 16 int8 lanes to
@@ -49,10 +58,6 @@ func maxAbsAVX(x []float32) float32
 //
 //go:noescape
 func quantize32AVX(dst []int8, src []float32, inv float32)
-
-// SIMDEnabled reports whether the vector kernels are active; benchmarks
-// surface it so recorded numbers are interpretable across machines.
-func SIMDEnabled() bool { return useSIMD }
 
 func axpy(alpha float32, x, y []float32) {
 	if useSIMD {

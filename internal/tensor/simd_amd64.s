@@ -90,6 +90,78 @@ axpy_done:
 	VZEROUPPER
 	RET
 
+// func gemm4x16AVX(a []float32, lda int, b []float32, ldb int, c []float32, ldc int, k int)
+//
+// One 4×16 register tile: C[r][j] = Σ_p A[r][p]·B[p][j] for r < 4,
+// j < 16, p < k, with row strides lda, ldb, ldc in elements. Caller
+// guarantees every addressed element is in bounds. The tile lives in
+// eight YMM accumulators (Y0..Y7, two per C row) that start at +0; per
+// k step the kernel loads two B vectors, broadcasts the four A scalars
+// and issues eight FMAs, so every C element is one ascending-k FMA
+// chain. C is stored once, at the end.
+TEXT ·gemm4x16AVX(SB), NOSPLIT, $0-104
+	MOVQ a_base+0(FP), SI
+	MOVQ lda+24(FP), R8
+	SHLQ $2, R8
+	MOVQ b_base+32(FP), DI
+	MOVQ ldb+56(FP), R9
+	SHLQ $2, R9
+	MOVQ c_base+64(FP), DX
+	MOVQ ldc+88(FP), R10
+	SHLQ $2, R10
+	MOVQ k+96(FP), CX
+	LEAQ (SI)(R8*1), R11  // A row 1
+	LEAQ (R11)(R8*1), R12 // A row 2
+	LEAQ (R12)(R8*1), R13 // A row 3
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ CX, CX
+	JZ    g416_store
+
+g416_loop:
+	VMOVUPS      (DI), Y8
+	VMOVUPS      32(DI), Y9
+	VBROADCASTSS (SI), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VBROADCASTSS (R11), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+	VBROADCASTSS (R12), Y12
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+	VBROADCASTSS (R13), Y13
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
+	ADDQ $4, SI
+	ADDQ $4, R11
+	ADDQ $4, R12
+	ADDQ $4, R13
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  g416_loop
+
+g416_store:
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	ADDQ    R10, DX
+	VMOVUPS Y2, (DX)
+	VMOVUPS Y3, 32(DX)
+	ADDQ    R10, DX
+	VMOVUPS Y4, (DX)
+	VMOVUPS Y5, 32(DX)
+	ADDQ    R10, DX
+	VMOVUPS Y6, (DX)
+	VMOVUPS Y7, 32(DX)
+	VZEROUPPER
+	RET
+
 // func dotAVX(x, y []float32) float32
 //
 // Inner product over len(x) elements. Caller guarantees

@@ -2,9 +2,14 @@
 
 package tensor
 
-// SIMDEnabled reports whether the vector kernels are active; on
-// non-amd64 platforms the scalar fallbacks are always used.
-func SIMDEnabled() bool { return false }
+// useSIMD is always false off amd64: the scalar fallbacks are used.
+var useSIMD = false
+
+// gemm4x16AVX is never called off amd64, where useSIMD is false; it
+// exists so the kernel dispatch in blocked.go compiles everywhere.
+func gemm4x16AVX(a []float32, lda int, b []float32, ldb int, c []float32, ldc int, k int) {
+	panic("tensor: gemm4x16AVX called without AVX2+FMA")
+}
 
 func axpy(alpha float32, x, y []float32) { axpyGeneric(alpha, x, y) }
 
